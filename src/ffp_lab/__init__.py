@@ -33,5 +33,3 @@ from .measure import (CylinderEvent, EmpiricalMeasure, ExactDistribution,
 from .rng import make_rng
 from .sampling import (BernoulliSampler, ReplicaSampler, SnapshotBank,
                        VacantSampler, make_init_sampler)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -214,7 +214,7 @@ def blur_decay_experiment(d, lam, x_coord, r_I, L_list, t_list, replicas,
             raise InvalidParameterError(
                 f"window of radius {radius} exceeds {max_sites} sites")
         S = [topology.index_of[c] for c in box_coords(d, r_I + L)]
-        x_idx = topology.index_of[x_coord]
+        x_idx = topology.site_index(x_coord)
         sampler = make_init_sampler(topology, lam, init, seed, stream=(30, L))
         payload = (topology, lam, S, x_idx, sampler, t_max, seed, L)
         flag_times = run_chunked(_decay_chunk, payload, replicas, jobs)

@@ -5,7 +5,8 @@ Usage:
     ffp-lab summarize DIR
 
 Kinds: simulate, stationary, exact, blur-decay, ccsb, couple, mu-scan.
-Exit codes: 0 success, 2 validation error, 3 capacity error.  The env
+Exit codes: 0 success, 2 validation or other package error, 3 capacity
+error (including an exact solve that fails to converge).  The env
 var FFP_LAB_JOBS provides the default parallelism.
 
 All tables are CSV with a fixed float representation, so a manifest and
@@ -54,7 +55,9 @@ def _require(manifest, problems, field, types=None):
         problems.append(f"missing field: {field}")
         return None
     value = manifest[field]
-    if types is not None and not isinstance(value, types):
+    # bool is an int subclass, but never a valid number or count
+    if types is not None and (isinstance(value, bool)
+                              or not isinstance(value, types)):
         problems.append(f"field {field} has the wrong type")
         return None
     return value
@@ -78,6 +81,12 @@ def _check_topology(manifest, problems):
     mode = manifest.setdefault("mode", "torus")
     if mode not in ("torus", "window"):
         problems.append(f"unknown mode {mode!r}")
+
+
+def _check_window(manifest, problems):
+    window = _require(manifest, problems, "window", list)
+    if window == []:
+        problems.append("window must be a non-empty list")
 
 
 def _coords(value):
@@ -106,7 +115,7 @@ _DEFAULTS = {
     "simulate": {"seed": 0, "burn_in": 0.0, "init": {"kind": "vacant"},
                  "dump_trajectory": False, "n_batches": 20},
     "stationary": {"seed": 0, "n_batches": 20},
-    "exact": {"seed": 0, "state_cap": 16, "method": "direct"},
+    "exact": {"seed": 0},
     "blur-decay": {"seed": 0, "r_I": 0, "margin": 1,
                    "init": {"kind": "stationary"}},
     "ccsb": {"seed": 0, "delta": 1.0,
@@ -143,7 +152,7 @@ def validate_manifest(manifest: dict, kind: str = None) -> dict:
         if h is not None and h <= 0:
             problems.append("horizon must be positive")
     if mkind == "stationary":
-        _require(manifest, problems, "window", list)
+        _check_window(manifest, problems)
         manifest.setdefault("burn_in", None)
     if mkind in ("blur-decay", "ccsb", "couple"):
         reps = _require(manifest, problems, "replicas", int)
@@ -173,7 +182,7 @@ def validate_manifest(manifest: dict, kind: str = None) -> dict:
             problems.extend(geo.validate())
     if mkind == "mu-scan":
         _require(manifest, problems, "d", int)
-        _require(manifest, problems, "window", list)
+        _check_window(manifest, problems)
         _require(manifest, problems, "k_list", list)
         manifest.setdefault("burn_in", None)
 
@@ -270,12 +279,13 @@ def _run_stationary(m, out, jobs):
 def _run_exact(m, out, jobs):
     from .measure import exact_stationary
     topology = _topology_from_manifest(m)
-    exact = exact_stationary(topology, m["lambda"], m["state_cap"], m["method"])
+    exact = exact_stationary(topology, m["lambda"])
     n = topology.n_sites
     rows = [(pattern_bitstring(s, n), float(p))
             for s, p in enumerate(exact.probs)]
     write_csv(out / "exact.csv", ["state", "probability"], rows)
-    return {"balance_residual": exact.balance_residual, "states": 1 << n}
+    return {"balance_residual": exact.balance_residual,
+            "solver_iterations": exact.solver_iterations, "states": 1 << n}
 
 
 def _run_blur_decay(m, out, jobs):
@@ -427,7 +437,8 @@ def summarize(out_dir) -> str:
     elif kind == "stationary":
         lines += _summ_csv(out / "measure.csv", 12)
     elif kind == "exact":
-        lines.append(f"balance residual: {info.get('balance_residual')}")
+        lines.append(f"balance residual: {info.get('balance_residual')}  "
+                     f"solver iterations: {info.get('solver_iterations')}")
         lines += _summ_csv(out / "exact.csv", 8)
     elif kind == "blur-decay":
         lines += _summ_csv(out / "blur_decay.csv", 40)
@@ -491,7 +502,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except InvalidParameterError as exc:
+    except FfpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

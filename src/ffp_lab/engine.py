@@ -36,11 +36,6 @@ class Event(NamedTuple):
     kind: str
 
 
-class EngineParams(NamedTuple):
-    """Ignition rate; the growth rate is fixed at 1."""
-    lam: float
-
-
 class _EventSampler:
     """Buffered sampler for (holding time, site, kind) triples.
 

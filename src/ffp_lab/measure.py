@@ -2,9 +2,10 @@
 
 The invariant distribution of the finite forest-fire chain is estimated
 by time averages of a single long trajectory (ergodic estimator), with
-error bars from batch means.  On instances with at most ``state_cap``
-sites the full generator can be built and solved for the stationary
-vector, which serves as an independent oracle for the Monte Carlo path.
+error bars from batch means.  On instances with at most
+``DEFAULT_STATE_CAP`` sites the full generator is built and the balance
+equations are solved iteratively for the stationary vector, which serves
+as an independent oracle for the Monte Carlo path.
 """
 
 import math
@@ -24,6 +25,9 @@ from .stats import paired_se
 
 DEFAULT_STATE_CAP = 16
 MAX_WINDOW_SITES = 20
+BALANCE_TOL = 1e-10       # accepted max|pi Q| of an exact solve
+GMRES_RESTART = 50
+GMRES_MAX_RESTARTS = 20   # converged solves need under one restart cycle
 
 
 def canonical_window(topology: Topology, window) -> tuple[Coord, ...]:
@@ -325,13 +329,7 @@ class ExactDistribution:
     lam: float
     probs: np.ndarray
     balance_residual: float
-
-    def probability(self, config) -> float:
-        code = 0
-        for i, v in enumerate(config):
-            if v:
-                code |= 1 << i
-        return float(self.probs[code])
+    solver_iterations: int
 
     def marginal(self, window) -> dict:
         """Pattern-code probabilities on a window (coords or indices)."""
@@ -408,47 +406,49 @@ def _build_generator(topology: Topology, lam: float):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_states, n_states))
 
 
-def exact_stationary(topology: Topology, lam: float,
-                     state_cap: int = DEFAULT_STATE_CAP,
-                     method: str = "direct") -> ExactDistribution:
-    """Solve the global balance equations of the finite chain.
+def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
+    """Solve the global balance equations pi Q = 0 of the finite chain.
 
     Growth transitions have rate 1 per vacant site; ignition of an
     occupied site empties its whole cluster, so a component of size c
     leaves at total rate lam*c toward the component-free state.
+
+    With pi(empty) pinned to 1 the other balance equations form a
+    nonsingular system, solved by Jacobi-preconditioned restarted GMRES
+    (Stewart 1994, ch. 4) and then normalised.  A solve that does not
+    converge, or whose balance residual max|pi Q| exceeds BALANCE_TOL,
+    raises CapacityError.
     """
     if lam <= 0:
         raise InvalidParameterError("lambda must be positive")
-    if topology.n_sites > state_cap:
+    if topology.n_sites > DEFAULT_STATE_CAP:
         raise CapacityError(
-            f"{topology.n_sites} sites exceed the {state_cap}-site cap "
-            f"({1 << state_cap} states)")
+            f"{topology.n_sites} sites exceed the {DEFAULT_STATE_CAP}-site "
+            f"cap ({1 << DEFAULT_STATE_CAP} states)")
     Q = _build_generator(topology, lam)
-    n_states = Q.shape[0]
-    if method == "direct":
-        A = Q.T.tolil()
-        A[n_states - 1, :] = 1.0
-        b = np.zeros(n_states)
-        b[n_states - 1] = 1.0
-        pi = spla.spsolve(A.tocsr(), b)
-    elif method == "power":
-        # power iteration on the uniformized chain
-        umax = float(-Q.diagonal().min()) * 1.05 + 1e-12
-        P = sp.identity(n_states, format="csr") + Q / umax
-        PT = P.T.tocsr()
-        pi = np.full(n_states, 1.0 / n_states)
-        for _ in range(1_000_000):
-            nxt = PT @ pi
-            if np.abs(nxt - pi).sum() < 1e-14:
-                pi = nxt
-                break
-            pi = nxt
-    else:
-        raise InvalidParameterError(f"unknown method {method!r}")
-    pi = np.clip(pi, 0.0, None)
+    QT = Q.T.tocsr()
+    A = QT[1:, 1:]
+    b = -QT[1:, 0].toarray().ravel()
+    diag = A.diagonal()
+    jacobi = spla.LinearOperator(A.shape, matvec=lambda v: v / diag,
+                                 dtype=float)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = spla.gmres(A, b, rtol=1e-13, restart=GMRES_RESTART,
+                         maxiter=GMRES_MAX_RESTARTS, M=jacobi,
+                         callback=count, callback_type="pr_norm")
+    pi = np.clip(np.concatenate(([1.0], x)), 0.0, None)
     pi /= pi.sum()
     residual = float(np.abs(pi @ Q).max())
-    return ExactDistribution(topology, lam, pi, residual)
+    if info != 0 or not residual <= BALANCE_TOL:
+        raise CapacityError(
+            f"stationary solve failed after {iterations} GMRES iterations: "
+            f"balance residual {residual:.3e} (tolerance {BALANCE_TOL:.0e})")
+    return ExactDistribution(topology, lam, pi, residual, iterations)
 
 
 def translation_invariance_defect(exact: ExactDistribution) -> float:

@@ -1,4 +1,4 @@
-"""Small statistical helpers: binomial intervals and batch means."""
+"""Small statistical helpers: binomial intervals and paired errors."""
 
 import math
 
@@ -21,16 +21,6 @@ def binomial_se(successes: int, n: int) -> float:
         return 0.0
     p = successes / n
     return math.sqrt(p * (1.0 - p) / n)
-
-
-def batch_means(values) -> tuple[float, float]:
-    """Mean and standard error from per-batch means."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return 0.0, 0.0
-    if arr.size == 1:
-        return float(arr[0]), 0.0
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
 def paired_se(differences) -> float:

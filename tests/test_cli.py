@@ -14,6 +14,8 @@ def write_manifest(tmp_path, data, name="m.json"):
 
 SIM = {"kind": "simulate", "lambda": 1.0, "d": 2, "k": 1, "mode": "torus",
        "horizon": 20.0, "burn_in": 2.0, "seed": 3}
+STAT = {"kind": "stationary", "lambda": 1.0, "d": 2, "k": 1, "mode": "torus",
+        "window": [[0, 0]], "horizon": 5.0, "burn_in": 1.0}
 EXACT = {"kind": "exact", "lambda": 1.0, "d": 1, "k": 1, "mode": "torus"}
 BLUR = {"kind": "blur-decay", "lambda": 1.0, "d": 2, "L_list": [1],
         "t_list": [0.05], "replicas": 30,
@@ -73,6 +75,28 @@ class TestExitCodes:
         assert main(["exact", "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 3
 
+    def test_unconverged_solve_is_capacity_error(self, tmp_path, monkeypatch,
+                                                 capsys):
+        from ffp_lab import measure
+        monkeypatch.setattr(measure, "BALANCE_TOL", 0.0)
+        path = write_manifest(tmp_path, dict(EXACT, d=2))
+        assert main(["exact", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "residual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [
+        dict(STAT, window=[[5, 5]]),
+        dict(STAT, window=[]),
+        dict(BLUR, x=[9, 9], replicas=2),
+        dict(EXACT, **{"lambda": True}),
+    ], ids=["window-outside-box", "empty-window", "probe-outside-window",
+            "bool-lambda"])
+    def test_bad_manifest_exits_2(self, tmp_path, capsys, manifest):
+        path = write_manifest(tmp_path, manifest)
+        assert main([manifest["kind"], "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_simulate_outputs(self, tmp_path):
@@ -92,6 +116,9 @@ class TestOutputs:
         rows = (out / "exact.csv").read_text().splitlines()[1:]
         total = sum(float(r.split(",")[1]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-10)
+        info = json.loads((out / "run_info.json").read_text())
+        assert info["balance_residual"] <= 1e-10
+        assert info["solver_iterations"] >= 1
 
     def test_zero_replicas_warns_but_succeeds(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -106,6 +133,7 @@ class TestOutputs:
         text = summarize(out)
         assert "kind: exact" in text
         assert "balance residual" in text
+        assert "solver iterations" in text
         assert summarize(tmp_path / "empty") == "no runs found"
 
 

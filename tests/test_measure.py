@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffp_lab import measure
 from ffp_lab.engine import ForestFireEngine
 from ffp_lab.errors import (CapacityError, InvalidParameterError,
                             WindowMismatchError)
-from ffp_lab.lattice import TORUS, build_topology, explicit_topology
+from ffp_lab.lattice import TORUS, WINDOW, build_topology, explicit_topology
 from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure, MaximalCoupling,
                              canonical_window, cylinder_probability,
                              estimate_marginal, exact_stationary,
@@ -58,6 +60,29 @@ class TestCylinderEvent:
             CylinderEvent.full_space([(i, 0) for i in range(21)])
 
 
+def periodic_grid(rows, cols):
+    """rows x cols grid with wrap edges; a length-2 axis gets one edge."""
+    edges = set()
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c
+            for j in (((r + 1) % rows) * cols + c, r * cols + (c + 1) % cols):
+                if i != j:
+                    edges.add((min(i, j), max(i, j)))
+    return explicit_topology(rows * cols, sorted(edges))
+
+
+def lu_stationary(topology, lam):
+    """Oracle for small graphs: sparse LU solve of pi Q = 0 with the first
+    balance equation replaced by the normalisation sum(pi) = 1."""
+    Q = measure._build_generator(topology, lam)
+    A = Q.T.tolil()
+    A[0, :] = 1.0
+    b = np.zeros(Q.shape[0])
+    b[0] = 1.0
+    return spla.spsolve(A.tocsr(), b)
+
+
 class TestExactOracles:
     def test_single_site(self):
         topo = explicit_topology(1, [])
@@ -73,11 +98,26 @@ class TestExactOracles:
         assert np.allclose(ex.probs, [0.4, 0.2, 0.2, 0.2], atol=1e-12)
         assert ex.balance_residual <= 1e-10
 
-    def test_power_matches_direct(self):
-        topo = build_topology(1, 1, TORUS)
-        a = exact_stationary(topo, 0.7, method="direct")
-        b = exact_stationary(topo, 0.7, method="power")
-        assert np.allclose(a.probs, b.probs, atol=1e-9)
+    def test_matches_lu_oracle(self):
+        graphs = [explicit_topology(1, []), explicit_topology(2, [(0, 1)]),
+                  build_topology(1, 1, TORUS), build_topology(2, 1, TORUS),
+                  build_topology(2, 1, WINDOW), periodic_grid(2, 5)]
+        for topo in graphs:
+            for lam in (0.01, 1.0, 20.0):
+                ex = exact_stationary(topo, lam)
+                diff = np.abs(ex.probs - lu_stationary(topo, lam)).max()
+                assert diff <= 1e-12, (topo.n_sites, lam, diff)
+                assert ex.solver_iterations >= 1
+
+    def test_sixteen_site_grid(self):
+        ex = exact_stationary(periodic_grid(4, 4), 1.0)
+        assert ex.probs.size == 1 << 16
+        assert ex.balance_residual <= 1e-10
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(measure, "BALANCE_TOL", 0.0)
+        with pytest.raises(CapacityError, match="iterations.*residual"):
+            exact_stationary(build_topology(2, 1, TORUS), 1.0)
 
     def test_capacity(self):
         topo = build_topology(2, 2, TORUS)
