@@ -16,6 +16,7 @@ seed fully determine the output bytes, independent of --jobs.
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -83,32 +84,80 @@ def _check_topology(manifest, problems):
         problems.append(f"unknown mode {mode!r}")
 
 
-def _check_window(manifest, problems):
-    window = _require(manifest, problems, "window", list)
-    if window == []:
-        problems.append("window must be a non-empty list")
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_time(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 <= value < math.inf)
+
+
+def _dimension(manifest):
+    """Coordinate length of the manifest's sites (1 for an edge file);
+    None when d itself is invalid, which is reported elsewhere."""
+    if "edge_file" in manifest:
+        return 1
+    d = manifest.get("d")
+    return d if _is_int(d) and d >= 1 else None
+
+
+def _is_coord(value, dim):
+    return (isinstance(value, list) and all(_is_int(c) for c in value)
+            and (len(value) == dim if dim is not None else bool(value)))
+
+
+def _check_items(manifest, problems, field, ok, what, allow_empty=False):
+    """A required list field whose items all satisfy ok."""
+    value = _require(manifest, problems, field, list)
+    if value is None:
+        return
+    if not value and not allow_empty:
+        problems.append(f"{field} must be a non-empty list")
+    elif not all(ok(v) for v in value):
+        problems.append(f"{field} must hold only {what}")
+
+
+def _check_coords(manifest, problems, field, allow_empty=False):
+    dim = _dimension(manifest)
+    what = ("integer coordinate lists" if dim is None else
+            f"integer coordinate lists of length {dim}")
+    _check_items(manifest, problems, field, lambda c: _is_coord(c, dim), what,
+                 allow_empty)
+
+
+def _check_coord(manifest, problems, field):
+    dim = _dimension(manifest)
+    if field not in manifest:
+        problems.append(f"missing field: {field}")
+    elif not _is_coord(manifest[field], dim):
+        problems.append(f"{field} must be an integer coordinate list"
+                        + ("" if dim is None else f" of length {dim}"))
 
 
 def _coords(value):
-    if isinstance(value[0], list):
-        return [tuple(c) for c in value]
-    return [tuple(value)]
+    return [tuple(c) for c in value]
 
 
 def _resolve_times(manifest, problems):
-    """Fill t_list either directly or from an epsilon spec."""
-    if "t_list" in manifest:
-        return
-    eps = manifest.get("epsilon")
-    if eps is None:
-        problems.append("missing field: t_list (or epsilon)")
-        return
-    try:
-        e = epsilon_for(int(eps.get("m", 1)), int(eps.get("d_G", 6)),
-                        float(eps.get("safety", 0.5)))
+    """Fill t_list either directly or from an epsilon spec; True when it
+    then holds only finite nonnegative numbers."""
+    if "t_list" not in manifest:
+        eps = manifest.get("epsilon")
+        if eps is None:
+            problems.append("missing field: t_list (or epsilon)")
+            return False
+        try:
+            e = epsilon_for(int(eps.get("m", 1)), int(eps.get("d_G", 6)),
+                            float(eps.get("safety", 0.5)))
+        except (FfpError, AttributeError, TypeError, ValueError) as exc:
+            problems.append(f"bad epsilon spec: {exc}")
+            return False
         manifest["t_list"] = [e]
-    except (FfpError, AttributeError, TypeError, ValueError) as exc:
-        problems.append(f"bad epsilon spec: {exc}")
+    before = len(problems)
+    _check_items(manifest, problems, "t_list", _is_time,
+                 "finite nonnegative numbers")
+    return len(problems) == before
 
 
 _DEFAULTS = {
@@ -149,32 +198,47 @@ def validate_manifest(manifest: dict, kind: str = None) -> dict:
         _check_topology(manifest, problems)
     if mkind in ("simulate", "stationary", "mu-scan"):
         h = _require(manifest, problems, "horizon", (int, float))
-        if h is not None and h <= 0:
-            problems.append("horizon must be positive")
+        if h is not None and not 0 < h < math.inf:
+            problems.append("horizon must be finite and positive")
+        if manifest.get("burn_in") is not None and not _is_time(manifest["burn_in"]):
+            problems.append("burn_in must be a finite nonnegative number")
+    if mkind in ("simulate", "stationary"):
+        nb = _require(manifest, problems, "n_batches", int)
+        if nb is not None and nb < 1:
+            problems.append("n_batches must be at least 1")
     if mkind == "stationary":
-        _check_window(manifest, problems)
+        _check_coords(manifest, problems, "window")
         manifest.setdefault("burn_in", None)
     if mkind in ("blur-decay", "ccsb", "couple"):
         reps = _require(manifest, problems, "replicas", int)
         if reps is not None and reps < 0:
             problems.append("replicas must be nonnegative")
     if mkind == "blur-decay":
-        _require(manifest, problems, "d", int)
-        _require(manifest, problems, "L_list", list)
-        manifest.setdefault("x", [0] * manifest.get("d", 1))
+        for f in ("d", "r_I", "margin"):
+            _require(manifest, problems, f, int)
+        _check_items(manifest, problems, "L_list",
+                     lambda v: _is_int(v) and v >= 0, "nonnegative integers",
+                     allow_empty=True)
+        manifest.setdefault("x", [0] * (_dimension(manifest) or 1))
+        _check_coord(manifest, problems, "x")
         _resolve_times(manifest, problems)
     if mkind == "ccsb":
-        _require(manifest, problems, "x", list)
-        _require(manifest, problems, "m_list", list)
+        _check_coord(manifest, problems, "x")
+        _check_items(manifest, problems, "m_list",
+                     lambda v: _is_int(v) and v >= 0, "nonnegative integers",
+                     allow_empty=True)
         manifest.setdefault("B", [])
         manifest.setdefault("D", [])
+        _check_coords(manifest, problems, "B", allow_empty=True)
+        _check_coords(manifest, problems, "D", allow_empty=True)
     if mkind == "couple":
-        for f in ("d", "K", "k", "L"):
+        for f in ("d", "K", "k", "L", "r_I"):
             _require(manifest, problems, f, int)
         if "t" not in manifest:
-            _resolve_times(manifest, problems)
-            if "t_list" in manifest:
+            if _resolve_times(manifest, problems):
                 manifest["t"] = manifest.pop("t_list")[0]
+        elif not _is_time(manifest["t"]):
+            problems.append("t must be a finite nonnegative number")
         if not problems:
             geo = CoupleParams(manifest["d"], manifest["lambda"],
                                manifest["K"], manifest["k"], manifest["r_I"],
@@ -182,8 +246,9 @@ def validate_manifest(manifest: dict, kind: str = None) -> dict:
             problems.extend(geo.validate())
     if mkind == "mu-scan":
         _require(manifest, problems, "d", int)
-        _check_window(manifest, problems)
-        _require(manifest, problems, "k_list", list)
+        _check_coords(manifest, problems, "window")
+        _check_items(manifest, problems, "k_list",
+                     lambda v: _is_int(v) and v >= 1, "positive integers")
         manifest.setdefault("burn_in", None)
 
     if problems:
@@ -234,6 +299,11 @@ def _topology_from_manifest(manifest):
 # ---------------------------------------------------------------------------
 # Experiment handlers
 
+def _event_info(engine):
+    """Attempted events per kind and effective growths and burns."""
+    return {"events": dict(engine.counts), "effective": dict(engine.effective)}
+
+
 def _run_simulate(m, out, jobs):
     topology = _topology_from_manifest(m)
     seed = m["seed"]
@@ -251,7 +321,7 @@ def _run_simulate(m, out, jobs):
         listeners.append(TrajectoryRecorder(traj_fh))
     engine.run_until(burn_in, listeners=listeners)
     obs = SiteDensityObserver(engine, burn_in, horizon, m["n_batches"])
-    engine.run_until(horizon, observers=(obs,), listeners=[obs] + listeners)
+    engine.run_until(horizon, observers=(obs,), listeners=listeners)
     if traj_fh:
         traj_fh.close()
     dens, se = obs.densities()
@@ -259,7 +329,7 @@ def _run_simulate(m, out, jobs):
              float(se[i])) for i in range(topology.n_sites)]
     write_csv(out / "density.csv", ["site", "coords", "density", "stderr"], rows)
     (out / "snapshot.txt").write_text(config_to_string(engine.occ) + "\n")
-    return {"events": dict(engine.counts)}
+    return _event_info(engine)
 
 
 def _run_stationary(m, out, jobs):
@@ -273,7 +343,7 @@ def _run_stationary(m, out, jobs):
     write_csv(out / "measure.csv",
               ["pattern", "weight", "probability", "stderr"], measure.rows())
     return {"window": [list(c) for c in measure.window],
-            "total_time": measure.total}
+            "total_time": measure.total, **_event_info(engine)}
 
 
 def _run_exact(m, out, jobs):
@@ -432,6 +502,9 @@ def summarize(out_dir) -> str:
     kind = info.get("manifest", {}).get("kind", "?")
     lines = [f"kind: {kind}  seed: {info.get('seed')}  "
              f"version: {info.get('version')}"]
+    if kind in ("simulate", "stationary"):
+        lines.append(f"attempted events: {info.get('events')}  "
+                     f"effective: {info.get('effective')}")
     if kind == "simulate":
         lines += _summ_csv(out / "density.csv", 12)
     elif kind == "stationary":

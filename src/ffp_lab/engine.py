@@ -16,6 +16,16 @@ Cluster membership is maintained incrementally with a union-find over
 the occupied sites.  Fires always remove whole clusters, so a burn can
 simply reset the parent pointers of the retired members; no fully
 dynamic connectivity structure is needed.
+
+``run_until`` drives two kinds of callbacks.  Observers integrate
+functionals of the piecewise-constant trajectory: ``accumulate(engine,
+dt)`` is called once per stretch between state changes (with
+``engine.clock`` at the start of the stretch) and once for the final
+partial stretch, and the optional ``on_event(engine, changed)`` right
+after each effective event, with ``engine.clock`` at its time.  No-op
+attempts cost an observer nothing.  Listeners see every attempt:
+``on_event(engine, event, changed)``, where ``changed`` is empty for a
+no-op.
 """
 
 from typing import NamedTuple
@@ -41,7 +51,9 @@ class _EventSampler:
 
     Draws are buffered in fixed-size chunks, so the random stream
     consumed depends only on the number of events drawn; the buffering
-    is invisible to reproducibility.
+    is invisible to reproducibility.  The chunk is held as memoryviews,
+    whose items index as Python floats and ints at no per-chunk
+    conversion cost; ``i`` is the next unread position.
     """
 
     def __init__(self, rng, n_sites, lam):
@@ -49,19 +61,22 @@ class _EventSampler:
         self.n = n_sites
         self.scale = 1.0 / (n_sites * (1.0 + lam))
         self.p_growth = 1.0 / (1.0 + lam)
-        self._i = _CHUNK
+        self.i = _CHUNK
+
+    def refill(self):
+        rng = self.rng
+        self.dt = memoryview(rng.exponential(self.scale, _CHUNK))
+        self.site = memoryview(rng.integers(0, self.n, _CHUNK))
+        self.u = memoryview(rng.random(_CHUNK))
+        self.i = 0
 
     def draw(self):
-        i = self._i
-        if i == _CHUNK:
-            rng = self.rng
-            self._dt = rng.exponential(self.scale, _CHUNK)
-            self._site = rng.integers(0, self.n, _CHUNK)
-            self._u = rng.random(_CHUNK)
-            i = 0
-        self._i = i + 1
-        kind = GROWTH if self._u[i] < self.p_growth else IGNITION
-        return float(self._dt[i]), int(self._site[i]), kind
+        if self.i == _CHUNK:
+            self.refill()
+        i = self.i
+        self.i = i + 1
+        kind = GROWTH if self.u[i] < self.p_growth else IGNITION
+        return self.dt[i], self.site[i], kind
 
 
 class ForestFireEngine:
@@ -132,6 +147,25 @@ class ForestFireEngine:
 
     # ---- dynamics ----
 
+    def _occupy(self, site):
+        """Growth on a vacant site."""
+        self.occ[site] = 1
+        self._parent[site] = site
+        self._members[site] = [site]
+        occ = self.occ
+        for j in self.topology.adjacency[site]:
+            if occ[j]:
+                self._union(site, j)
+
+    def _burn(self, site) -> list[int]:
+        """Vacate the cluster of an occupied site; returns its members."""
+        members = self._members.pop(self._find(site))
+        occ, parent = self.occ, self._parent
+        for m in members:
+            occ[m] = 0
+            parent[m] = m
+        return members
+
     def next_event(self) -> Event:
         """Sample the next event and advance the clock to it."""
         if self._sampler is None:
@@ -145,53 +179,44 @@ class ForestFireEngine:
         if event.time < self.clock:
             raise EventOrderError(
                 f"event at {event.time} is older than clock {self.clock}")
-        site = event.site
-        if not 0 <= site < self.topology.n_sites:
+        site, kind = event.site, event.kind
+        if not 0 <= site < len(self.occ):
             raise InvalidSiteError(f"site index {site} out of range")
+        if kind not in self.counts:
+            raise InvalidParameterError(f"unknown event kind {kind!r}")
         self.clock = event.time
-        self.counts[event.kind] += 1
-        if event.kind == GROWTH:
+        self.counts[kind] += 1
+        if kind == GROWTH:
             if self.occ[site]:
                 return []
             self._occupy(site)
             self.effective[GROWTH] += 1
             return [site]
-        if event.kind == IGNITION:
-            if not self.occ[site]:
-                return []
-            return self.burn_cluster(site)
-        raise InvalidParameterError(f"unknown event kind {event.kind!r}")
-
-    def _occupy(self, site):
-        self.occ[site] = 1
-        self._parent[site] = site
-        self._members[site] = [site]
-        occ = self.occ
-        for j in self.topology.adjacency[site]:
-            if occ[j]:
-                self._union(site, j)
+        if not self.occ[site]:
+            return []
+        self.effective["burn"] += 1
+        return self._burn(site)
 
     def burn_cluster(self, site) -> list[int]:
         """Vacate the whole occupied cluster of an occupied site."""
         i = self.topology.site_index(site)
         if not self.occ[i]:
             raise InvalidStateError("cannot burn the cluster of a vacant site")
-        members = self._members.pop(self._find(i))
-        occ, parent = self.occ, self._parent
-        for m in members:
-            occ[m] = 0
-            parent[m] = m
         self.effective["burn"] += 1
-        return members
+        return self._burn(i)
 
     def run_until(self, T, observers=(), listeners=()):
         """Advance the trajectory to time T.
 
-        Observers accumulate their functionals weighted by the exact
-        holding time of each piecewise-constant stretch (including the
-        final partial interval); listeners are notified after each
-        applied event.  The event sampled past T is discarded, which is
-        exact by memorylessness of the exponential clocks.
+        Observers get ``accumulate(engine, dt)`` once per stretch of
+        constant state, with the exact holding time, including the final
+        partial stretch to T, and ``on_event(engine, changed)`` (if they
+        define it) after each effective event only.  Listeners get
+        ``on_event(engine, event, changed)`` after every attempt,
+        no-ops included.  The event sampled past T is drawn and
+        discarded, which is exact by memorylessness of the exponential
+        clocks.  Attempt counts are written back even if a callback
+        raises.
         """
         if T < self.clock:
             raise InvalidParameterError("horizon lies in the past")
@@ -199,25 +224,74 @@ class ForestFireEngine:
             for ob in observers:
                 ob.accumulate(self, 0.0)
             return self
-        if self._sampler is None:
+        sampler = self._sampler
+        if sampler is None:
             raise InvalidStateError("engine has no sites")
-        draw = self._sampler.draw
-        apply_event = self.apply_event
-        while True:
-            dt, site, kind = draw()
-            t_next = self.clock + dt
-            if t_next > T:
-                hold = T - self.clock
-                for ob in observers:
-                    ob.accumulate(self, hold)
-                self.clock = T
-                return self
-            for ob in observers:
-                ob.accumulate(self, dt)
-            event = Event(t_next, site, kind)
-            changed = apply_event(event)
-            for li in listeners:
-                li.on_event(self, event, changed)
+        accumulators = [ob.accumulate for ob in observers]
+        changers = [ob.on_event for ob in observers if hasattr(ob, "on_event")]
+        occ, occupy, burn = self.occ, self._occupy, self._burn
+        p_growth = sampler.p_growth
+        i = sampler.i
+        if i < _CHUNK:
+            dts, sites, us = sampler.dt, sampler.site, sampler.u
+        clock = t_change = self.clock   # t_change: start of the current stretch
+        drawn = -i                      # drawn + i: draws taken in this call
+        growths = grown = burnt = 0
+        try:
+            while True:
+                if i == _CHUNK:
+                    sampler.refill()
+                    dts, sites, us = sampler.dt, sampler.site, sampler.u
+                    drawn += _CHUNK
+                    i = 0
+                t_next = clock + dts[i]
+                if t_next > T:
+                    i += 1
+                    drawn -= 1          # the discarded draw is no attempt
+                    if accumulators:
+                        self.clock = t_change
+                        for acc in accumulators:
+                            acc(self, T - t_change)
+                    clock = T
+                    return self
+                site = sites[i]
+                growth = us[i] < p_growth
+                effective = not occ[site] if growth else occ[site]
+                if effective and accumulators:
+                    self.clock = t_change
+                    for acc in accumulators:
+                        acc(self, t_next - t_change)
+                    t_change = t_next
+                i += 1
+                growths += growth
+                clock = t_next
+                if effective:
+                    if growth:
+                        occupy(site)
+                        grown += 1
+                        changed = [site]
+                    else:
+                        changed = burn(site)
+                        burnt += 1
+                    if changers:
+                        self.clock = clock
+                        for on_event in changers:
+                            on_event(self, changed)
+                elif listeners:
+                    changed = []
+                if listeners:
+                    self.clock = clock
+                    event = Event(clock, site, GROWTH if growth else IGNITION)
+                    for li in listeners:
+                        li.on_event(self, event, changed)
+        finally:
+            sampler.i = i
+            self.clock = clock
+            attempts = drawn + i
+            self.counts[GROWTH] += growths
+            self.counts[IGNITION] += attempts - growths
+            self.effective[GROWTH] += grown
+            self.effective["burn"] += burnt
 
     def snapshot(self) -> tuple[int, ...]:
         """Value copy of the current occupancy in canonical site order."""

@@ -125,7 +125,7 @@ def test_criterion_05_translation_invariance():
     eng = ForestFireEngine(topo, 1.0, make_rng(CRITERION_5_SEED, 0))
     eng.run_until(200.0)
     obs = SiteDensityObserver(eng, 200.0, 30200.0, 40)
-    eng.run_until(30200.0, observers=(obs,), listeners=(obs,))
+    eng.run_until(30200.0, observers=(obs,))
     dens, se = obs.densities()
     worst = max(abs(dens[i] - dens[j]) / (3 * math.sqrt(se[i]**2 + se[j]**2))
                 for i, j in itertools.combinations(range(25), 2))

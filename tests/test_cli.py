@@ -89,8 +89,14 @@ class TestExitCodes:
         dict(STAT, window=[]),
         dict(BLUR, x=[9, 9], replicas=2),
         dict(EXACT, **{"lambda": True}),
+        dict(STAT, window=[[0, 0], 5]),
+        dict(BLUR, L_list=["x"]),
+        dict(BLUR, t_list=[]),
+        dict(STAT, n_batches=0),
+        dict(SIM, horizon=float("inf")),
     ], ids=["window-outside-box", "empty-window", "probe-outside-window",
-            "bool-lambda"])
+            "bool-lambda", "window-item-not-coord", "L_list-not-int",
+            "empty-t_list", "zero-batches", "infinite-horizon"])
     def test_bad_manifest_exits_2(self, tmp_path, capsys, manifest):
         path = write_manifest(tmp_path, manifest)
         assert main([manifest["kind"], "--manifest", str(path),
@@ -109,6 +115,28 @@ class TestOutputs:
         assert "wall_time_s" in info
         # wall time never appears in the CSV tables
         assert "wall" not in (out / "density.csv").read_text()
+
+    def test_trajectory_dump_leaves_density_unchanged(self, tmp_path):
+        tables = []
+        for dump in (False, True):
+            out = tmp_path / f"dump{dump}"
+            run_experiment(validate_manifest(dict(SIM, dump_trajectory=dump)),
+                           out)
+            tables.append((out / "density.csv").read_bytes())
+        assert tables[0] == tables[1]
+        lines = (out / "trajectory.txt").read_text().splitlines()
+        info = json.loads((out / "run_info.json").read_text())
+        assert len(lines) == sum(info["events"].values())
+
+    def test_event_counts_reported(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(validate_manifest(dict(STAT)), out)
+        info = json.loads((out / "run_info.json").read_text())
+        assert set(info["events"]) == {"growth", "ignition"}
+        assert set(info["effective"]) == {"growth", "burn"}
+        assert 0 < sum(info["effective"].values()) < sum(info["events"].values())
+        text = summarize(out)
+        assert "attempted events" in text and "effective" in text
 
     def test_exact_probabilities_sum(self, tmp_path):
         out = tmp_path / "run"

@@ -159,3 +159,70 @@ class TestRunUntil:
             assert float(t) >= t_prev
             assert kind in (GROWTH, IGNITION)
             t_prev = float(t)
+
+
+class TestStreamPreserved:
+    """run_until consumes the same draws whatever is attached to it."""
+
+    def finish(self, eng):
+        return eng.snapshot(), eng.clock, dict(eng.counts), dict(eng.effective)
+
+    def test_matches_apply_event_reference(self):
+        eng = make_engine(lam=0.6, seed=11)
+        ref = make_engine(lam=0.6, seed=11)
+        for T in (2.5, 7.0):
+            eng.run_until(T)
+            while True:   # the draw past T is taken and discarded
+                dt, site, kind = ref._sampler.draw()
+                if ref.clock + dt > T:
+                    break
+                ref.apply_event(Event(ref.clock + dt, site, kind))
+            ref.clock = T
+            assert self.finish(eng) == self.finish(ref)
+
+    def test_observer_does_not_change_stream(self):
+        class Counter:
+            stretches = changes = 0
+
+            def accumulate(self, engine, dt):
+                self.stretches += 1
+
+            def on_event(self, engine, changed):
+                assert changed
+                self.changes += 1
+
+        a, b = make_engine(seed=12), make_engine(seed=12)
+        ob = Counter()
+        a.run_until(4.0)
+        b.run_until(4.0, observers=(ob,))
+        assert self.finish(a) == self.finish(b)
+        effective = sum(b.effective.values())
+        assert ob.changes == effective
+        assert ob.stretches == effective + 1
+
+    def test_listener_does_not_change_stream(self, tmp_path):
+        a, b = make_engine(seed=13), make_engine(seed=13)
+        a.run_until(4.0)
+        with open(tmp_path / "traj.txt", "w") as fh:
+            b.run_until(4.0, listeners=(TrajectoryRecorder(fh),))
+        assert self.finish(a) == self.finish(b)
+
+    def test_counts_written_back_when_a_listener_raises(self):
+        class Stop(Exception):
+            pass
+
+        class StopAtFifth:
+            seen = 0
+
+            def on_event(self, engine, event, changed):
+                self.seen += 1
+                self.time = event.time
+                if self.seen == 5:
+                    raise Stop
+
+        eng = make_engine(seed=14)
+        li = StopAtFifth()
+        with pytest.raises(Stop):
+            eng.run_until(10.0, listeners=(li,))
+        assert sum(eng.counts.values()) == 5
+        assert eng.clock == li.time

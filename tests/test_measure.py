@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffp_lab import measure
-from ffp_lab.engine import ForestFireEngine
+from ffp_lab.engine import Event, ForestFireEngine
 from ffp_lab.errors import (CapacityError, InvalidParameterError,
                             WindowMismatchError)
 from ffp_lab.lattice import TORUS, WINDOW, build_topology, explicit_topology
@@ -170,6 +170,80 @@ class TestEstimate:
         assert m.total == pytest.approx(100.0)
         assert sum(m.probabilities().values()) == pytest.approx(1.0)
 
+
+
+class TestObserverBatches:
+    # Observation window whose edges 4.35 and 23.25 sit where
+    # int((a - t_start) / batch_len) rounds down to the previous batch.
+    T0, T1, NB = 3.0, 30.0, 20
+
+    def feed(self, make_observer, cuts):
+        """Accumulate [T0, T1] over the frozen state, cut at the given times."""
+        topo = build_topology(2, 1, TORUS)
+        eng = ForestFireEngine(topo, 1.0, make_rng(0), [1, 0, 1] * 3)
+        eng.clock = self.T0
+        ob = make_observer(eng)
+        points = [self.T0] + sorted(cuts) + [self.T1]
+        for a, b in zip(points[:-1], points[1:]):
+            eng.clock = a
+            ob.accumulate(eng, b - a)
+        return ob
+
+    def cuts(self):
+        """Every batch edge, plus a fine grid that is not aligned to them."""
+        batch_len = (self.T1 - self.T0) / self.NB
+        edges = [self.T0 + (j + 1) * batch_len for j in range(self.NB - 1)]
+        return edges + np.linspace(self.T0, self.T1, 997)[1:-1].tolist()
+
+    def test_marginal_split_independent_of_cuts(self):
+        def make(eng):
+            return measure.MarginalObserver(eng, [(0, 0), (0, 1)], self.T0,
+                                            self.T1, self.NB)
+        whole = self.feed(make, []).measure()
+        cut = self.feed(make, self.cuts()).measure()
+        assert len(whole.batches) == len(cut.batches) == self.NB
+        for (t_a, w_a), (t_b, w_b) in zip(whole.batches, cut.batches):
+            assert t_a == pytest.approx(t_b, abs=1e-12)
+            assert w_a.keys() == w_b.keys()
+            for code in w_a:
+                assert w_a[code] == pytest.approx(w_b[code], abs=1e-12)
+
+    def test_site_density_split_independent_of_cuts(self):
+        def make(eng):
+            return measure.SiteDensityObserver(eng, self.T0, self.T1, self.NB)
+        whole = self.feed(make, [])
+        cut = self.feed(make, self.cuts())
+        np.testing.assert_allclose(cut.batch_time, whole.batch_time,
+                                   rtol=0, atol=1e-12)
+        for a, b in zip(whole.densities(), cut.densities()):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.asarray(cut.site_time),
+                                   np.asarray(whole.site_time),
+                                   rtol=0, atol=1e-12)
+
+    def test_lazy_density_matches_per_attempt_reference(self):
+        # reference: credit every occupied site over every holding time
+        topo = build_topology(2, 1, TORUS)
+        eng = ForestFireEngine(topo, 0.5, make_rng(8, 0))
+        eng.run_until(2.0)
+        ob = measure.SiteDensityObserver(eng, 2.0, 40.0, 7)
+        ref = ForestFireEngine(topo, 0.5, make_rng(8, 0))
+        ref.run_until(2.0)
+        occupied_time = np.zeros(topo.n_sites)
+        t = ref.clock
+        while True:
+            dt, site, kind = ref._sampler.draw()
+            t_next = min(t + dt, 40.0)
+            occupied_time += (t_next - t) * np.array(ref.occ)
+            if t + dt > 40.0:
+                break
+            t = t + dt
+            ref.apply_event(Event(t, site, kind))
+        eng.run_until(40.0, observers=(ob,))
+        dens, _ = ob.densities()
+        np.testing.assert_allclose(dens, occupied_time / 38.0, rtol=0,
+                                   atol=1e-12)
+        assert eng.snapshot() == ref.snapshot()
 
 class TestMeasureAlgebra:
     def make(self, probs):
