@@ -9,7 +9,7 @@ bounding cylinder-probability differences.
 __version__ = "0.1.0"
 
 from .blur import (BlurState, BlurTracker, blur_decay_experiment, epsilon_for,
-                   init_blur, update_blur)
+                   init_blur)
 from .ccsb import CcsbQuery, CcsbReport, ccsb_check, cluster_size_tail
 from .coupling import (CoupledExperiment, CoupleParams, Lemma1Report,
                        lemma1_default_scan, lemma1_experiment, lemma1_report)
@@ -25,9 +25,9 @@ from .lattice import (EXPLICIT, TORUS, WINDOW, Topology, box_coords,
 from .measure import (CylinderEvent, EmpiricalMeasure, ExactDistribution,
                       MarginalObserver, MaximalCoupling, SiteDensityObserver,
                       cylinder_probability, estimate_marginal,
-                      exact_stationary, maximal_coupling_sample,
-                      measure_from_probabilities, measure_from_snapshots,
-                      mu_convergence_scan, stationarity_check,
+                      exact_stationary, measure_from_probabilities,
+                      measure_from_snapshots, mu_convergence_scan,
+                      stationarity_check,
                       total_variation, total_variation_ci,
                       translation_invariance_defect)
 from .rng import make_rng

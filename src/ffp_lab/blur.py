@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .engine import GROWTH, ForestFireEngine
-from .errors import ConsistencyError, InvalidParameterError
+from .errors import InvalidParameterError
 from .lattice import (TORUS, WINDOW, Topology, box_coords, cluster_of,
                       site_boundary)
 from .rng import make_rng
@@ -41,9 +41,6 @@ class BlurState:
 
     def is_flagged(self, site: int) -> bool:
         return site in self.flags
-
-    def flag_count(self) -> int:
-        return len(self.flags)
 
 
 def _check_window_fits(topology: Topology, sites):
@@ -80,9 +77,8 @@ def init_blur(config, topology: Topology, S, t0=0.0) -> BlurState:
     return blur
 
 
-def update_blur(blur: BlurState, topology: Topology, event,
-                config_after) -> BlurState:
-    """Propagate marks after one applied event (mutates and returns).
+class BlurTracker:
+    """Engine listener keeping a BlurState in sync with a trajectory.
 
     Only an effective growth inside the closure of S can create marks: a
     newly grown site joins its neighbors into one cluster, and if the
@@ -90,44 +86,8 @@ def update_blur(blur: BlurState, topology: Topology, event,
     closure) is marked.  Burns leave marks untouched -- being marked is
     a property of the site, not of the tree.  A single pass suffices
     because vacant sites are never newly marked, so marks cannot jump a
-    vacant gap within one event.
-    """
-    if event.kind != GROWTH:
-        return blur
-    x = topology.site_index(event.site)
-    if not config_after[x]:
-        raise ConsistencyError("growth event site is vacant in the configuration")
-    closure = blur.closure
-    if x not in closure:
-        return blur
-    cluster = cluster_of(config_after, topology, x)
-    _apply_growth_marks(blur, topology, cluster)
-    return blur
-
-
-def _apply_growth_marks(blur: BlurState, topology: Topology, cluster):
-    flags = blur.flags
-    closure = blur.closure
-    hit = False
-    for m in cluster:
-        if m in flags:
-            hit = True
-            break
-        for nb in topology.adjacency[m]:
-            if nb in flags:
-                hit = True
-                break
-        if hit:
-            break
-    if hit:
-        flags.update(c for c in cluster if c in closure)
-
-
-class BlurTracker:
-    """Engine listener keeping a BlurState in sync with a trajectory.
-
-    Uses the engine's incremental cluster index instead of a fresh
-    traversal; flags depend only on events at sites of the closure.
+    vacant gap within one event.  The cluster comes from the engine's
+    incremental cluster index instead of a fresh traversal.
     """
 
     def __init__(self, blur: BlurState, topology: Topology):
@@ -137,11 +97,15 @@ class BlurTracker:
     def on_event(self, engine, event, changed):
         if event.kind != GROWTH or not changed:
             return
-        x = event.site
-        if x not in self.blur.closure:
+        flags, closure = self.blur.flags, self.blur.closure
+        if event.site not in closure:
             return
-        _apply_growth_marks(self.blur, self.topology,
-                            engine.cluster_members(x))
+        cluster = engine.cluster_members(event.site)
+        adjacency = self.topology.adjacency
+        for m in cluster:
+            if m in flags or not flags.isdisjoint(adjacency[m]):
+                flags.update(c for c in cluster if c in closure)
+                return
 
 
 def epsilon_for(m: int, d_G: int, safety: float = 1.0) -> float:

@@ -14,11 +14,14 @@ seed fully determine the output bytes, independent of --jobs.
 """
 
 import argparse
+import contextlib
+import copy
 import csv
 import json
 import math
 import sys
 import time
+from collections import defaultdict, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +39,6 @@ from .parallel import default_jobs
 from .rng import make_rng
 from .sampling import ReplicaSampler, make_init_sampler
 
-KINDS = ("simulate", "stationary", "exact", "blur-decay", "ccsb", "couple",
-         "mu-scan")
-
 
 class ManifestError(InvalidParameterError):
     """Carries every validation problem found in a manifest."""
@@ -49,48 +49,37 @@ class ManifestError(InvalidParameterError):
 
 
 # ---------------------------------------------------------------------------
-# Manifest parsing
+# Field checks
 
-def _require(manifest, problems, field, types=None):
-    if field not in manifest:
-        problems.append(f"missing field: {field}")
-        return None
-    value = manifest[field]
-    # bool is an int subclass, but never a valid number or count
-    if types is not None and (isinstance(value, bool)
-                              or not isinstance(value, types)):
-        problems.append(f"field {field} has the wrong type")
-        return None
-    return value
+_REQUIRED = object()   # a missing field is a problem
+_OPTIONAL = object()   # a missing field stays missing; its reader has one
 
-
-def _check_lambda(manifest, problems):
-    lam = _require(manifest, problems, "lambda", (int, float))
-    if lam is not None and lam <= 0:
-        problems.append("lambda must be positive")
-
-
-def _check_topology(manifest, problems):
-    if "edge_file" in manifest:
-        return
-    d = _require(manifest, problems, "d", int)
-    k = _require(manifest, problems, "k", int)
-    if d is not None and d < 1:
-        problems.append("d must be at least 1")
-    if k is not None and k < 0:
-        problems.append("k must be nonnegative")
-    mode = manifest.setdefault("mode", "torus")
-    if mode not in ("torus", "window"):
-        problems.append(f"unknown mode {mode!r}")
+# ok(value, manifest) -> bool, or a dict mapping each "kind" of a nested
+# spec to that kind's own fields; a failed check reports "<name> must be
+# <what>".  The field is skipped when the field named by unless is present.
+_Field = namedtuple("Field", "ok what default unless",
+                    defaults=("", _REQUIRED, None))
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_time(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 <= value < math.inf)
+def _is_num(value):
+    # bool is an int subclass, but never a valid number or count
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _time(value, m=None):
+    return _is_num(value) and 0 <= value < math.inf
+
+
+def _positive(value, m=None):
+    return _is_num(value) and 0 < value < math.inf
+
+
+def _at_least(lo):
+    return lambda value, m=None: _is_int(value) and value >= lo
 
 
 def _dimension(manifest):
@@ -102,171 +91,130 @@ def _dimension(manifest):
     return d if _is_int(d) and d >= 1 else None
 
 
-def _is_coord(value, dim):
+def _coord(value, m):
+    dim = _dimension(m)
     return (isinstance(value, list) and all(_is_int(c) for c in value)
             and (len(value) == dim if dim is not None else bool(value)))
 
 
-def _check_items(manifest, problems, field, ok, what, allow_empty=False):
-    """A required list field whose items all satisfy ok."""
-    value = _require(manifest, problems, field, list)
-    if value is None:
-        return
-    if not value and not allow_empty:
-        problems.append(f"{field} must be a non-empty list")
-    elif not all(ok(v) for v in value):
-        problems.append(f"{field} must hold only {what}")
+def _list_of(ok, allow_empty=False):
+    return lambda value, m: (isinstance(value, list)
+                             and (allow_empty or bool(value))
+                             and all(ok(v, m) for v in value))
 
 
-def _check_coords(manifest, problems, field, allow_empty=False):
-    dim = _dimension(manifest)
-    what = ("integer coordinate lists" if dim is None else
-            f"integer coordinate lists of length {dim}")
-    _check_items(manifest, problems, field, lambda c: _is_coord(c, dim), what,
-                 allow_empty)
+def _epsilon(value, m=None):
+    """An epsilon_for spec: optional integers m, d_G >= 1 and safety."""
+    if not isinstance(value, dict):
+        return False
+    safety = value.get("safety", 1)
+    return (all(_at_least(1)(value.get(key, 1)) for key in ("m", "d_G"))
+            and _is_num(safety) and 0 < safety <= 1)
 
 
-def _check_coord(manifest, problems, field):
-    dim = _dimension(manifest)
-    if field not in manifest:
-        problems.append(f"missing field: {field}")
-    elif not _is_coord(manifest[field], dim):
-        problems.append(f"{field} must be an integer coordinate list"
-                        + ("" if dim is None else f" of length {dim}"))
+def _int(lo, default=_REQUIRED, unless=None):
+    return _Field(_at_least(lo), f"an integer >= {lo}", default, unless)
 
 
-def _coords(value):
-    return [tuple(c) for c in value]
+_TIME = "a finite nonnegative number"
+_COORDS = "a list of integer coordinates of length d (1 with an edge_file)"
+_TIMES = _Field(_list_of(_time),
+                "a non-empty list of finite nonnegative numbers", _OPTIONAL)
+_HORIZON = _Field(_positive, "finite and positive")
+_COUNTS = _Field(_list_of(_at_least(0), True), "a list of integers >= 0")
+_X = _Field(_coord, "an integer coordinate of length d")
+_SITES = _Field(_list_of(_coord, True), _COORDS, [])
+_EPS = _Field(_epsilon, "an object with integers m, d_G >= 1 and safety in "
+              "(0, 1]", _OPTIONAL)
+_PATH = _Field(lambda v, m: isinstance(v, str), "a path", _OPTIONAL)
+_MAYBE_BURN_IN = _Field(lambda v, m: v is None or _time(v), "null or " + _TIME,
+                        None)
+
+_COMMON = {
+    "lambda": _Field(_positive, "positive"),
+    "seed": _int(0, 0),
+    "out": _PATH,
+}
+_GRID = {
+    "edge_file": _PATH,
+    "d": _int(1, unless="edge_file"),
+    "k": _int(0, unless="edge_file"),
+    "mode": _Field(lambda v, m: v in ("torus", "window"), "torus or window",
+                   "torus", "edge_file"),
+}
+_INIT = {
+    "vacant": {},
+    "bernoulli": {"p": _Field(lambda v, m: _is_num(v) and 0 <= v <= 1,
+                              "a number in [0, 1]", _OPTIONAL)},
+    "stationary": {"snapshots": _int(1, _OPTIONAL),
+                   "spacing": _HORIZON._replace(default=_OPTIONAL),
+                   "burn_in": _Field(_time, _TIME, _OPTIONAL)},
+}
+_SAMPLER = {**_INIT, "replica": {"s": _Field(_time, _TIME, _OPTIONAL),
+                                 "init": _Field(_INIT, default=_OPTIONAL)}}
 
 
-def _resolve_times(manifest, problems):
-    """Fill t_list either directly or from an epsilon spec; True when it
-    then holds only finite nonnegative numbers."""
-    if "t_list" not in manifest:
-        eps = manifest.get("epsilon")
-        if eps is None:
+def _walk(m, fields, problems, prefix=""):
+    """Check every declared field of m and fill the missing top-level
+    defaults; nested specs are walked with their own fields."""
+    for name, f in fields.items():
+        if f.unless in m:
+            continue
+        if name not in m:
+            if f.default is _REQUIRED:
+                problems.append(f"missing field: {prefix}{name}")
+            elif f.default is not _OPTIONAL:
+                m[name] = (f.default(m) if callable(f.default)
+                           else copy.deepcopy(f.default))
+        elif not isinstance(f.ok, dict):
+            if not f.ok(m[name], m):
+                problems.append(f"{prefix}{name} must be {f.what}")
+        else:
+            # nested spec; kind defaults to "vacant" as in make_init_sampler
+            kind = isinstance(m[name], dict) and m[name].get("kind", "vacant")
+            if isinstance(kind, str) and kind in f.ok:
+                _walk(m[name], f.ok[kind], problems, f"{prefix}{name}.")
+            else:
+                problems.append(f"{prefix}{name} must be an object with kind "
+                                + ", ".join(f.ok))
+
+
+# ---------------------------------------------------------------------------
+# Cross-field rules
+
+def _horizon_after_burn_in(m, problems):
+    horizon, burn_in = m.get("horizon"), m["burn_in"]
+    if _positive(horizon) and _time(burn_in) and horizon <= burn_in:
+        problems.append("horizon must exceed burn_in")
+
+
+def _resolve_times(m, problems):
+    """Fill t_list from an epsilon spec when absent; True when t_list is
+    then valid."""
+    if "t_list" not in m:
+        if "epsilon" not in m:
             problems.append("missing field: t_list (or epsilon)")
             return False
-        try:
-            e = epsilon_for(int(eps.get("m", 1)), int(eps.get("d_G", 6)),
-                            float(eps.get("safety", 0.5)))
-        except (FfpError, AttributeError, TypeError, ValueError) as exc:
-            problems.append(f"bad epsilon spec: {exc}")
+        eps = m["epsilon"]
+        if not _epsilon(eps):
             return False
-        manifest["t_list"] = [e]
-    before = len(problems)
-    _check_items(manifest, problems, "t_list", _is_time,
-                 "finite nonnegative numbers")
-    return len(problems) == before
+        m["t_list"] = [epsilon_for(eps.get("m", 1), eps.get("d_G", 6),
+                                   eps.get("safety", 0.5))]
+    return _TIMES.ok(m["t_list"], m)
 
 
-_DEFAULTS = {
-    "simulate": {"seed": 0, "burn_in": 0.0, "init": {"kind": "vacant"},
-                 "dump_trajectory": False, "n_batches": 20},
-    "stationary": {"seed": 0, "n_batches": 20},
-    "exact": {"seed": 0},
-    "blur-decay": {"seed": 0, "r_I": 0, "margin": 1,
-                   "init": {"kind": "stationary"}},
-    "ccsb": {"seed": 0, "delta": 1.0,
-             "sampler": {"kind": "stationary"}},
-    "couple": {"seed": 0, "r_I": 0, "bank_snapshots": 800,
-               "bank_spacing": 1.0, "bank_burn_in": 30.0},
-    "mu-scan": {"seed": 0},
-}
+def _couple_params(m):
+    return CoupleParams(m["d"], m["lambda"], m["K"], m["k"], m["r_I"], m["L"],
+                        m["t"], m["seed"], m["bank_snapshots"],
+                        m["bank_spacing"], m["bank_burn_in"])
 
 
-def validate_manifest(manifest: dict, kind: str = None) -> dict:
-    """Validate and fill defaults; raises ManifestError listing every
-    violation found."""
-    problems = []
-    manifest = dict(manifest)
-    mkind = manifest.get("kind", kind)
-    if mkind is None:
-        problems.append("missing field: kind")
-    elif kind is not None and mkind != kind:
-        problems.append(f"manifest kind {mkind!r} does not match command {kind!r}")
-    elif mkind not in KINDS:
-        problems.append(f"unknown kind {mkind!r}")
-    if problems:
-        raise ManifestError(problems)
-    manifest["kind"] = mkind
-    for key, value in _DEFAULTS[mkind].items():
-        manifest.setdefault(key, value)
-
-    _check_lambda(manifest, problems)
-    if mkind in ("simulate", "stationary", "exact", "ccsb"):
-        _check_topology(manifest, problems)
-    if mkind in ("simulate", "stationary", "mu-scan"):
-        h = _require(manifest, problems, "horizon", (int, float))
-        if h is not None and not 0 < h < math.inf:
-            problems.append("horizon must be finite and positive")
-        if manifest.get("burn_in") is not None and not _is_time(manifest["burn_in"]):
-            problems.append("burn_in must be a finite nonnegative number")
-    if mkind in ("simulate", "stationary"):
-        nb = _require(manifest, problems, "n_batches", int)
-        if nb is not None and nb < 1:
-            problems.append("n_batches must be at least 1")
-    if mkind == "stationary":
-        _check_coords(manifest, problems, "window")
-        manifest.setdefault("burn_in", None)
-    if mkind in ("blur-decay", "ccsb", "couple"):
-        reps = _require(manifest, problems, "replicas", int)
-        if reps is not None and reps < 0:
-            problems.append("replicas must be nonnegative")
-    if mkind == "blur-decay":
-        for f in ("d", "r_I", "margin"):
-            _require(manifest, problems, f, int)
-        _check_items(manifest, problems, "L_list",
-                     lambda v: _is_int(v) and v >= 0, "nonnegative integers",
-                     allow_empty=True)
-        manifest.setdefault("x", [0] * (_dimension(manifest) or 1))
-        _check_coord(manifest, problems, "x")
-        _resolve_times(manifest, problems)
-    if mkind == "ccsb":
-        _check_coord(manifest, problems, "x")
-        _check_items(manifest, problems, "m_list",
-                     lambda v: _is_int(v) and v >= 0, "nonnegative integers",
-                     allow_empty=True)
-        manifest.setdefault("B", [])
-        manifest.setdefault("D", [])
-        _check_coords(manifest, problems, "B", allow_empty=True)
-        _check_coords(manifest, problems, "D", allow_empty=True)
-    if mkind == "couple":
-        for f in ("d", "K", "k", "L", "r_I"):
-            _require(manifest, problems, f, int)
-        if "t" not in manifest:
-            if _resolve_times(manifest, problems):
-                manifest["t"] = manifest.pop("t_list")[0]
-        elif not _is_time(manifest["t"]):
-            problems.append("t must be a finite nonnegative number")
-        if not problems:
-            geo = CoupleParams(manifest["d"], manifest["lambda"],
-                               manifest["K"], manifest["k"], manifest["r_I"],
-                               manifest["L"], manifest["t"], manifest["seed"])
-            problems.extend(geo.validate())
-    if mkind == "mu-scan":
-        _require(manifest, problems, "d", int)
-        _check_coords(manifest, problems, "window")
-        _check_items(manifest, problems, "k_list",
-                     lambda v: _is_int(v) and v >= 1, "positive integers")
-        manifest.setdefault("burn_in", None)
-
-    if problems:
-        raise ManifestError(problems)
-    return manifest
-
-
-def parse_manifest(path, kind: str = None) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ManifestError([f"manifest file not found: {path}"])
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError([f"manifest is not valid JSON: {exc}"]) from None
-    if not isinstance(manifest, dict):
-        raise ManifestError(["manifest must be a JSON object"])
-    return validate_manifest(manifest, kind)
+def _couple_geometry(m, problems):
+    """Take t from t_list or epsilon when absent, then check the geometry."""
+    if "t" not in m and _resolve_times(m, problems):
+        m["t"] = m.pop("t_list")[0]
+    if not problems:
+        problems.extend(_couple_params(m).validate())
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +245,9 @@ def _topology_from_manifest(manifest):
 
 
 # ---------------------------------------------------------------------------
-# Experiment handlers
-
-def _event_info(engine):
-    """Attempted events per kind and effective growths and burns."""
-    return {"events": dict(engine.counts), "effective": dict(engine.effective)}
-
+# Experiment handlers: each returns one dict holding the rows of every
+# table under its name and the run_info extras under the other keys.  A
+# row is a tuple of cells or an object with one attribute per column.
 
 def _run_simulate(m, out, jobs):
     topology = _topology_from_manifest(m)
@@ -312,24 +257,18 @@ def _run_simulate(m, out, jobs):
     init = sampler.sample(make_rng(seed, 2))
     engine = ForestFireEngine(topology, m["lambda"], make_rng(seed, 0), init)
     burn_in, horizon = m["burn_in"], m["horizon"]
-    if horizon <= burn_in:
-        raise ManifestError(["horizon must exceed burn_in"])
-    listeners = []
-    traj_fh = None
-    if m["dump_trajectory"]:
-        traj_fh = open(out / "trajectory.txt", "w")
-        listeners.append(TrajectoryRecorder(traj_fh))
-    engine.run_until(burn_in, listeners=listeners)
-    obs = SiteDensityObserver(engine, burn_in, horizon, m["n_batches"])
-    engine.run_until(horizon, observers=(obs,), listeners=listeners)
-    if traj_fh:
-        traj_fh.close()
+    with (open(out / "trajectory.txt", "w") if m["dump_trajectory"]
+          else contextlib.nullcontext()) as traj_fh:
+        listeners = [TrajectoryRecorder(traj_fh)] if traj_fh else []
+        engine.run_until(burn_in, listeners=listeners)
+        obs = SiteDensityObserver(engine, burn_in, horizon, m["n_batches"])
+        engine.run_until(horizon, observers=(obs,), listeners=listeners)
     dens, se = obs.densities()
     rows = [(i, " ".join(map(str, topology.coords[i])), float(dens[i]),
              float(se[i])) for i in range(topology.n_sites)]
-    write_csv(out / "density.csv", ["site", "coords", "density", "stderr"], rows)
     (out / "snapshot.txt").write_text(config_to_string(engine.occ) + "\n")
-    return _event_info(engine)
+    return {"density.csv": rows, "events": dict(engine.counts),
+            "effective": dict(engine.effective)}
 
 
 def _run_stationary(m, out, jobs):
@@ -338,12 +277,12 @@ def _run_stationary(m, out, jobs):
     burn_in = m["burn_in"]
     if burn_in is None:
         burn_in = default_burn_in(topology, m["horizon"])
-    measure = estimate_marginal(engine, _coords(m["window"]), burn_in,
+    measure = estimate_marginal(engine, m["window"], burn_in,
                                 m["horizon"], m["n_batches"])
-    write_csv(out / "measure.csv",
-              ["pattern", "weight", "probability", "stderr"], measure.rows())
-    return {"window": [list(c) for c in measure.window],
-            "total_time": measure.total, **_event_info(engine)}
+    return {"measure.csv": measure.rows(),
+            "window": [list(c) for c in measure.window],
+            "total_time": measure.total, "events": dict(engine.counts),
+            "effective": dict(engine.effective)}
 
 
 def _run_exact(m, out, jobs):
@@ -353,138 +292,212 @@ def _run_exact(m, out, jobs):
     n = topology.n_sites
     rows = [(pattern_bitstring(s, n), float(p))
             for s, p in enumerate(exact.probs)]
-    write_csv(out / "exact.csv", ["state", "probability"], rows)
-    return {"balance_residual": exact.balance_residual,
+    return {"exact.csv": rows, "balance_residual": exact.balance_residual,
             "solver_iterations": exact.solver_iterations, "states": 1 << n}
 
 
 def _run_blur_decay(m, out, jobs):
-    if m["replicas"] == 0:
-        write_csv(out / "blur_decay.csv",
-                  ["L", "t", "flagged", "replicas", "p_hat", "ci_low",
-                   "ci_high"], [])
-        print("warning: replicas = 0, wrote an empty table", file=sys.stderr)
-        return {"warning": "no replicas"}
     rows = blur_decay_experiment(
         m["d"], m["lambda"], m["x"], m["r_I"], m["L_list"], m["t_list"],
         m["replicas"], m["init"], m["seed"], m["margin"], jobs=jobs)
-    write_csv(out / "blur_decay.csv",
-              ["L", "t", "flagged", "replicas", "p_hat", "ci_low", "ci_high"],
-              [(r.L, r.t, r.flagged, r.replicas, r.p_hat, r.ci_low, r.ci_high)
-               for r in rows])
-    return {"rows": len(rows)}
-
-
-def _make_ccsb_sampler(topology, m):
-    spec = dict(m["sampler"])
-    kind = spec.get("kind", "stationary")
-    if kind == "replica":
-        init = spec.get("init", {"kind": "vacant"})
-        inner = make_init_sampler(topology, m["lambda"], init, m["seed"],
-                                  stream=(6,))
-        return ReplicaSampler(topology, m["lambda"], float(spec.get("s", 0.0)),
-                              inner)
-    return make_init_sampler(topology, m["lambda"], spec, m["seed"],
-                             stream=(5,))
+    return {"blur_decay.csv": rows, "rows": len(rows)}
 
 
 def _run_ccsb(m, out, jobs):
-    header = ["query", "m", "delta", "joint", "cond", "bound", "verdict"]
-    tail_header = ["m", "exceed", "replicas", "p_hat", "ci_low", "ci_high"]
-    if m["replicas"] == 0:
-        write_csv(out / "ccsb.csv", header, [])
-        write_csv(out / "tail.csv", tail_header, [])
-        print("warning: replicas = 0, wrote empty tables", file=sys.stderr)
-        return {"warning": "no replicas"}
     topology = _topology_from_manifest(m)
-    sampler = _make_ccsb_sampler(topology, m)
-    x = tuple(m["x"])
+    spec, lam, seed = m["sampler"], m["lambda"], m["seed"]
+    if spec.get("kind") == "replica":
+        init = spec.get("init", {"kind": "vacant"})
+        sampler = ReplicaSampler(topology, lam, float(spec.get("s", 0.0)),
+                                 make_init_sampler(topology, lam, init, seed,
+                                                   stream=(6,)))
+    else:
+        sampler = make_init_sampler(topology, lam, spec, seed, stream=(5,))
     rows = []
     for qid, mm in enumerate(m["m_list"]):
-        query = CcsbQuery.build(topology, _coords(m["B"]) if m["B"] else [],
-                                _coords(m["D"]) if m["D"] else [],
-                                x, int(mm), m["delta"])
-        rep = ccsb_check(sampler, topology, query, m["replicas"], m["seed"])
-        rows.append((qid, int(mm), m["delta"], rep.joint_hat, rep.cond_hat,
+        query = CcsbQuery.build(topology, m["B"], m["D"], m["x"], mm,
+                                m["delta"])
+        rep = ccsb_check(sampler, topology, query, m["replicas"], seed)
+        rows.append((qid, mm, m["delta"], rep.joint_hat, rep.cond_hat,
                      rep.bound, rep.verdict))
-    write_csv(out / "ccsb.csv", header, rows)
-    tail = cluster_size_tail(sampler, topology, x, m["m_list"], m["replicas"],
-                             m["seed"])
-    write_csv(out / "tail.csv", tail_header,
-              [(r.m, r.exceed, r.replicas, r.p_hat, r.ci_low, r.ci_high)
-               for r in tail.rows])
-    return {"max_cluster_size": tail.max_size, "sampler": tail.sampler_mode}
+    tail = cluster_size_tail(sampler, topology, m["x"], m["m_list"],
+                             m["replicas"], seed)
+    return {"ccsb.csv": rows, "tail.csv": tail.rows,
+            "max_cluster_size": tail.max_size, "sampler": tail.sampler_mode}
 
 
 def _run_couple(m, out, jobs):
-    rec_header = ["replica", "initial_J_equal", "agree_on_I", "any_I_blurred",
-                  "in_A_window", "in_A_torus"]
-    rep_header = ["lhs", "blur_term", "tv_term", "pooled_se", "verdict", "tv",
-                  "eq_freq", "p_A_window", "p_A_torus", "replicas"]
-    sidecar = {key: m[key] for key in
-               ("d", "lambda", "K", "k", "r_I", "L", "t", "seed",
-                "bank_snapshots", "bank_spacing", "bank_burn_in")}
-    (out / "geometry.json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-    if m["replicas"] == 0:
-        write_csv(out / "records.csv", rec_header, [])
-        write_csv(out / "lemma1.csv", rep_header, [])
-        print("warning: replicas = 0, wrote empty tables", file=sys.stderr)
-        return {"warning": "no replicas"}
-    params = CoupleParams(m["d"], m["lambda"], m["K"], m["k"], m["r_I"],
-                          m["L"], m["t"], m["seed"], m["bank_snapshots"],
-                          m["bank_spacing"], m["bank_burn_in"])
     event = CylinderEvent.site_occupied((0,) * m["d"])
-    report = lemma1_experiment(params, event, m["replicas"], jobs=jobs)
-    write_csv(out / "records.csv", rec_header,
-              [(i, r.initial_J_equal, r.agree_on_I, r.any_I_blurred,
-                r.in_A_window, r.in_A_torus)
-               for i, r in enumerate(report.records)])
-    write_csv(out / "lemma1.csv", rep_header,
-              [(report.lhs, report.blur_term, report.tv_term, report.pooled_se,
-                report.verdict, report.tv, report.eq_freq, report.p_A_window,
-                report.p_A_torus, report.replicas)])
-    return {"verdict": report.verdict}
+    report = lemma1_experiment(_couple_params(m), event, m["replicas"],
+                               jobs=jobs)
+    return {"records.csv": [(i, r.initial_J_equal, r.agree_on_I,
+                             r.any_I_blurred, r.in_A_window, r.in_A_torus)
+                            for i, r in enumerate(report.records)],
+            "lemma1.csv": [report], "verdict": report.verdict}
 
 
 def _run_mu_scan(m, out, jobs):
     burn_in = m["burn_in"]
     if burn_in is None:
         burn_in = m["horizon"] / 5.0
-    scan = mu_convergence_scan(m["d"], m["lambda"], _coords(m["window"]),
+    scan = mu_convergence_scan(m["d"], m["lambda"], m["window"],
                                m["k_list"], burn_in, m["horizon"], m["seed"])
-    write_csv(out / "mu_scan.csv",
-              ["k_low", "k_high", "tv", "ci_low", "ci_high"],
-              [(r.k_low, r.k_high, r.tv, r.ci_low, r.ci_high)
-               for r in scan.rows])
-    for k, measure in scan.marginals.items():
-        write_csv(out / f"marginal_k{k}.csv",
-                  ["pattern", "weight", "probability", "stderr"],
-                  measure.rows())
-    return {"k_list": sorted(scan.marginals)}
+    return {"mu_scan.csv": scan.rows,
+            "marginal_k{}.csv": {k: measure.rows()
+                                 for k, measure in scan.marginals.items()},
+            "k_list": sorted(scan.marginals)}
 
 
-_HANDLERS = {
-    "simulate": _run_simulate,
-    "stationary": _run_stationary,
-    "exact": _run_exact,
-    "blur-decay": _run_blur_decay,
-    "ccsb": _run_ccsb,
-    "couple": _run_couple,
-    "mu-scan": _run_mu_scan,
+# ---------------------------------------------------------------------------
+# One spec per kind
+
+# fields: name -> Field; rules: cross-field checks run after the fields;
+# tables: file name -> column names, where a "{}" name holds one table per
+# key of its rows; summary: (table, row cap, run_info line format);
+# sidecar: manifest keys echoed to geometry.json before the run.
+_Kind = namedtuple("Kind", "fields rules tables summary run sidecar",
+                   defaults=("",))
+
+_MEASURE = "pattern weight probability stderr"
+_EVENTS = "attempted events: {events}  effective: {effective}"
+
+_KINDS = {
+    "simulate": _Kind(
+        {**_COMMON, **_GRID, "horizon": _HORIZON,
+         "burn_in": _Field(_time, _TIME, 0.0),
+         "init": _Field(_INIT, default={"kind": "vacant"}),
+         "dump_trajectory": _Field(lambda v, m: isinstance(v, bool),
+                                  "true or false", False),
+         "n_batches": _int(1, 20)},
+        (_horizon_after_burn_in,),
+        {"density.csv": "site coords density stderr"},
+        ("density.csv", 12, _EVENTS), _run_simulate),
+    "stationary": _Kind(
+        {**_COMMON, **_GRID, "horizon": _HORIZON, "burn_in": _MAYBE_BURN_IN,
+         "window": _Field(_list_of(_coord), "a non-empty " + _COORDS),
+         "n_batches": _int(1, 20)},
+        (_horizon_after_burn_in,),
+        {"measure.csv": _MEASURE},
+        ("measure.csv", 12, _EVENTS), _run_stationary),
+    "exact": _Kind(
+        {**_COMMON, **_GRID}, (),
+        {"exact.csv": "state probability"},
+        ("exact.csv", 8, "balance residual: {balance_residual}  "
+                         "solver iterations: {solver_iterations}"),
+        _run_exact),
+    "blur-decay": _Kind(
+        {**_COMMON, "d": _int(1), "r_I": _int(0, 0), "margin": _int(1, 1),
+         "L_list": _COUNTS,
+         "x": _X._replace(default=lambda m: [0] * (_dimension(m) or 1)),
+         "t_list": _TIMES, "epsilon": _EPS,
+         "replicas": _int(0),
+         "init": _Field(_INIT, default={"kind": "stationary"})},
+        (_resolve_times,),
+        {"blur_decay.csv": "L t flagged replicas p_hat ci_low ci_high"},
+        ("blur_decay.csv", 40, ""), _run_blur_decay),
+    "ccsb": _Kind(
+        {**_COMMON, **_GRID,
+         "x": _X, "m_list": _COUNTS,
+         "B": _SITES, "D": _SITES,
+         "delta": _Field(_time, _TIME, 1.0),
+         "replicas": _int(0),
+         "sampler": _Field(_SAMPLER, default={"kind": "stationary"})},
+        (),
+        {"ccsb.csv": "query m delta joint cond bound verdict",
+         "tail.csv": "m exceed replicas p_hat ci_low ci_high"},
+        ("ccsb.csv", 40, "max cluster size: {max_cluster_size}"),
+        _run_ccsb),
+    "couple": _Kind(
+        {**_COMMON, "d": _int(1), "K": _int(0), "k": _int(0), "L": _int(0),
+         "r_I": _int(0, 0), "t": _Field(_time, _TIME, _OPTIONAL),
+         "t_list": _TIMES, "epsilon": _EPS,
+         "replicas": _int(0),
+         "bank_snapshots": _int(1, 800),
+         "bank_spacing": _HORIZON._replace(default=1.0),
+         "bank_burn_in": _Field(_time, _TIME, 30.0)},
+        (_couple_geometry,),
+        {"records.csv": "replica initial_J_equal agree_on_I any_I_blurred "
+                        "in_A_window in_A_torus",
+         "lemma1.csv": "lhs blur_term tv_term pooled_se verdict tv eq_freq "
+                       "p_A_window p_A_torus replicas"},
+        ("lemma1.csv", 4, ""), _run_couple,
+        "d lambda K k r_I L t seed bank_snapshots bank_spacing bank_burn_in"),
+    "mu-scan": _Kind(
+        {**_COMMON, "d": _int(1),
+         "window": _Field(_list_of(_coord), "a non-empty " + _COORDS),
+         "k_list": _Field(_list_of(_at_least(1)),
+                          "a non-empty list of integers >= 1"),
+         "horizon": _HORIZON, "burn_in": _MAYBE_BURN_IN},
+        (_horizon_after_burn_in,),
+        {"mu_scan.csv": "k_low k_high tv ci_low ci_high",
+         "marginal_k{}.csv": _MEASURE},
+        ("mu_scan.csv", 40, ""), _run_mu_scan),
 }
+KINDS = tuple(_KINDS)
+
+
+# ---------------------------------------------------------------------------
+# Manifest parsing
+
+def validate_manifest(manifest: dict, kind: str = None) -> dict:
+    """Validate and fill defaults; raises ManifestError listing every
+    violation found."""
+    manifest = dict(manifest)
+    mkind = manifest.get("kind", kind)
+    if mkind is None:
+        raise ManifestError(["missing field: kind"])
+    if kind is not None and mkind != kind:
+        raise ManifestError(
+            [f"manifest kind {mkind!r} does not match command {kind!r}"])
+    if mkind not in KINDS:
+        raise ManifestError([f"unknown kind {mkind!r}"])
+    manifest["kind"] = mkind
+    spec, problems = _KINDS[mkind], []
+    _walk(manifest, spec.fields, problems)
+    for rule in spec.rules:
+        rule(manifest, problems)
+    if problems:
+        raise ManifestError(problems)
+    return manifest
+
+
+def parse_manifest(path, kind: str = None) -> dict:
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ManifestError([f"cannot read {path}: {exc.strerror}"]) from None
+    except ValueError as exc:   # undecodable bytes or invalid JSON
+        raise ManifestError([f"manifest is not valid JSON: {exc}"]) from None
+    if not isinstance(manifest, dict):
+        raise ManifestError(["manifest must be a JSON object"])
+    return validate_manifest(manifest, kind)
 
 
 def run_experiment(manifest: dict, out_dir, jobs: int = 1) -> dict:
     """Run a validated manifest; writes CSV outputs plus run_info.json."""
+    spec = _KINDS[manifest["kind"]]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.time()
-    extra = _HANDLERS[manifest["kind"]](manifest, out, jobs)
+    if spec.sidecar:
+        (out / "geometry.json").write_text(json.dumps(
+            {key: manifest[key] for key in spec.sidecar.split()},
+            sort_keys=True, indent=2) + "\n")
+    if "replicas" in spec.fields and manifest["replicas"] == 0:
+        print("warning: replicas = 0, wrote header-only tables",
+              file=sys.stderr)
+        result = {"warning": "no replicas", **dict.fromkeys(spec.tables, [])}
+    else:
+        result = spec.run(manifest, out, jobs)
+    for name, header in spec.tables.items():
+        columns, rows = header.split(), result.pop(name)
+        for key, part in rows.items() if "{}" in name else [(None, rows)]:
+            write_csv(out / name.format(key), columns,
+                      (r if isinstance(r, tuple) else
+                       [getattr(r, c) for c in columns] for r in part))
     info = {"manifest": manifest, "seed": manifest["seed"],
-            "version": __version__, "wall_time_s": time.time() - start}
-    if extra:
-        info.update(extra)
+            "version": __version__, "wall_time_s": time.time() - start,
+            **result}
     (out / "run_info.json").write_text(
         json.dumps(info, sort_keys=True, indent=2) + "\n")
     return info
@@ -502,26 +515,11 @@ def summarize(out_dir) -> str:
     kind = info.get("manifest", {}).get("kind", "?")
     lines = [f"kind: {kind}  seed: {info.get('seed')}  "
              f"version: {info.get('version')}"]
-    if kind in ("simulate", "stationary"):
-        lines.append(f"attempted events: {info.get('events')}  "
-                     f"effective: {info.get('effective')}")
-    if kind == "simulate":
-        lines += _summ_csv(out / "density.csv", 12)
-    elif kind == "stationary":
-        lines += _summ_csv(out / "measure.csv", 12)
-    elif kind == "exact":
-        lines.append(f"balance residual: {info.get('balance_residual')}  "
-                     f"solver iterations: {info.get('solver_iterations')}")
-        lines += _summ_csv(out / "exact.csv", 8)
-    elif kind == "blur-decay":
-        lines += _summ_csv(out / "blur_decay.csv", 40)
-    elif kind == "ccsb":
-        lines.append(f"max cluster size: {info.get('max_cluster_size')}")
-        lines += _summ_csv(out / "ccsb.csv", 40)
-    elif kind == "couple":
-        lines += _summ_csv(out / "lemma1.csv", 4)
-    elif kind == "mu-scan":
-        lines += _summ_csv(out / "mu_scan.csv", 40)
+    if kind in _KINDS:
+        table, max_rows, info_line = _KINDS[kind].summary
+        if info_line:
+            lines.append(info_line.format_map(defaultdict(lambda: None, info)))
+        lines += _summ_csv(out / table, max_rows)
     return "\n".join(lines)
 
 

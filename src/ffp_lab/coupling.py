@@ -231,29 +231,24 @@ def lemma1_experiment(params: CoupleParams, event: CylinderEvent,
 def lemma1_default_scan(seed, replicas=500, d=2, lam=1.0, t=None,
                         L_values=(1, 2), k_values=(3, 4, 5, 6),
                         bank_snapshots=800) -> list[Lemma1Report]:
-    """Desk-scale scan: L in {1,2}, k in {3..6}, K = 2k, shared banks per k."""
+    """Desk-scale scan: L in {1,2}, k in {3..6}, K = 2k; the banks of the
+    first experiment for each k are shared with the others."""
     from .blur import epsilon_for
     if t is None:
         t = 0.5 * epsilon_for(1, 3 * d)
+    if replicas < 1:
+        raise InvalidParameterError("need at least one replica")
     reports = []
     for k in k_values:
-        K = 2 * k
-        base = CoupleParams(d, lam, K, k, 0, 1, t, seed,
-                            bank_snapshots=bank_snapshots)
-        window_topo = build_topology(d, K, WINDOW)
-        torus_topo = build_topology(d, k, TORUS)
-        window_bank = SnapshotBank(window_topo, lam, base.bank_snapshots,
-                                   base.bank_spacing, base.bank_burn_in,
-                                   seed, stream=(51, K))
-        torus_bank = SnapshotBank(torus_topo, lam, base.bank_snapshots,
-                                  base.bank_spacing, base.bank_burn_in,
-                                  seed, stream=(52, k))
+        banks = {}
         for L in L_values:
             if k <= L:
                 continue
-            params = CoupleParams(d, lam, K, k, 0, L, t, seed,
+            params = CoupleParams(d, lam, 2 * k, k, 0, L, t, seed,
                                   bank_snapshots=bank_snapshots)
-            reports.append(lemma1_experiment(
-                params, CylinderEvent.site_occupied((0,) * d), replicas,
-                window_bank=window_bank, torus_bank=torus_bank))
+            experiment = CoupledExperiment(params, None, **banks)
+            banks = {"window_bank": experiment.window_bank,
+                     "torus_bank": experiment.torus_bank}
+            reports.append(lemma1_report(experiment,
+                                         experiment.run_many(replicas)))
     return reports

@@ -69,19 +69,16 @@ class Topology:
         return len(self.coords)
 
     def site_index(self, site) -> int:
-        """Accept either a dense index or a coordinate tuple."""
-        if isinstance(site, tuple):
+        """Accept either a dense index or a coordinate tuple or list."""
+        if isinstance(site, (tuple, list)):
             try:
-                return self.index_of[site]
+                return self.index_of[tuple(site)]
             except KeyError:
                 raise InvalidSiteError(f"unknown site {site!r}") from None
         i = int(site)
         if not 0 <= i < self.n_sites:
             raise InvalidSiteError(f"site index {i} out of range")
         return i
-
-    def descriptor(self) -> dict:
-        return {"d": self.dimension, "k": self.radius, "mode": self.mode}
 
     def __repr__(self):
         return (f"Topology(mode={self.mode!r}, d={self.dimension}, "
@@ -145,18 +142,31 @@ def explicit_topology(n_sites: int, edges) -> Topology:
 
 
 def read_edge_list(path) -> Topology:
-    """Read an explicit graph from a text file, one "i j" pair per line."""
+    """Read an explicit graph from a text file, one "i j" pair per line.
+
+    An unreadable file or a malformed line raises InvalidParameterError
+    naming the file (and the line).
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameterError(
+            f"cannot read edge file {path}: {exc}") from None
     edges = []
     n = 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            a, b = line.split()
-            i, j = int(a), int(b)
-            edges.append((i, j))
-            n = max(n, i + 1, j + 1)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            i, j = (int(v) for v in line.split())
+        except ValueError:
+            raise InvalidParameterError(
+                f"edge file {path}, line {lineno}: expected two integers, "
+                f"got {line!r}") from None
+        edges.append((i, j))
+        n = max(n, i + 1, j + 1)
     return explicit_topology(n, edges)
 
 
@@ -168,16 +178,6 @@ def write_edge_list(topology: Topology, path) -> None:
                     fh.write(f"{i} {j}\n")
 
 
-def neighbors(topology: Topology, site) -> frozenset[int]:
-    """Neighbor set of a site, as dense indices."""
-    i = topology.site_index(site)
-    return frozenset(topology.adjacency[i])
-
-
-def neighbor_coords(topology: Topology, site) -> set[Coord]:
-    return {topology.coords[j] for j in neighbors(topology, site)}
-
-
 def site_boundary(topology: Topology, sites) -> frozenset[int]:
     """Exterior neighbor set N(S) of a set of site indices."""
     s = {topology.site_index(x) for x in sites}
@@ -187,12 +187,6 @@ def site_boundary(topology: Topology, sites) -> frozenset[int]:
             if j not in s:
                 out.add(j)
     return frozenset(out)
-
-
-def closed_set(topology: Topology, sites) -> frozenset[int]:
-    """S together with its boundary N(S)."""
-    s = frozenset(topology.site_index(x) for x in sites)
-    return s | site_boundary(topology, s)
 
 
 def cluster_of(config, topology: Topology, site) -> frozenset[int]:
@@ -238,10 +232,6 @@ def bernoulli_config(topology: Topology, p: float, rng) -> list[int]:
 def config_to_string(config) -> str:
     """One 0/1 character per site in canonical order."""
     return "".join("1" if v else "0" for v in config)
-
-
-def config_from_string(text: str) -> list[int]:
-    return [1 if ch == "1" else 0 for ch in text.strip()]
 
 
 def translate_permutation(topology: Topology, vec) -> list[int]:

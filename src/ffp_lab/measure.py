@@ -72,12 +72,6 @@ class CylinderEvent:
                 f"cylinder window larger than {MAX_WINDOW_SITES} sites")
 
     @classmethod
-    def from_predicate(cls, window, predicate):
-        window = tuple(sorted(window))
-        accept = frozenset(c for c in range(1 << len(window)) if predicate(c))
-        return cls(window, accept)
-
-    @classmethod
     def site_occupied(cls, coord: Coord):
         return cls((coord,), frozenset({1}))
 
@@ -101,18 +95,16 @@ class CylinderEvent:
 class EmpiricalMeasure:
     """Weighted occupancy-pattern distribution on a finite window.
 
-    ``weights`` maps pattern codes to total weight; for time-kind
-    measures the weight is holding time, for count-kind measures it is a
-    snapshot count.  ``batches`` holds (size, weights) pairs used for
-    batch-means standard errors and bootstrap resampling.
+    ``weights`` maps pattern codes to total weight: holding time for a
+    time average, a snapshot count for a snapshot measure.  ``batches``
+    holds (size, weights) pairs used for batch-means standard errors and
+    bootstrap resampling.
     """
 
     window: tuple[Coord, ...]
     weights: dict
     total: float
     batches: list = field(default_factory=list)
-    kind: str = "time"
-    provenance: dict = field(default_factory=dict)
 
     @property
     def width(self) -> int:
@@ -144,8 +136,7 @@ class EmpiricalMeasure:
         for c, w in other.weights.items():
             weights[c] = weights.get(c, 0.0) + w
         return EmpiricalMeasure(self.window, weights, self.total + other.total,
-                                self.batches + other.batches, self.kind,
-                                {**self.provenance, **other.provenance})
+                                self.batches + other.batches)
 
     def rows(self):
         """CSV rows: pattern bitstring, weight, probability, stderr."""
@@ -158,12 +149,12 @@ def measure_from_probabilities(window, probs, total=1.0) -> EmpiricalMeasure:
     """Wrap a plain code->probability mapping as a measure (no batches)."""
     window = tuple(sorted(window))
     weights = {c: p * total for c, p in probs.items() if p > 0}
-    return EmpiricalMeasure(window, weights, total, kind="count")
+    return EmpiricalMeasure(window, weights, total)
 
 
-def measure_from_snapshots(topology, window, snapshots, n_batches=20,
-                           provenance=None) -> EmpiricalMeasure:
-    """Count-kind measure from an ordered list of configurations."""
+def measure_from_snapshots(topology, window, snapshots,
+                           n_batches=20) -> EmpiricalMeasure:
+    """Snapshot-count measure from an ordered list of configurations."""
     window = canonical_window(topology, window)
     weights: dict = defaultdict(float)
     codes = [window_pattern(cfg, topology, window) for cfg in snapshots]
@@ -179,8 +170,7 @@ def measure_from_snapshots(topology, window, snapshots, n_batches=20,
             for code in codes[a:b]:
                 w[code] += 1.0
             batches.append((float(b - a), dict(w)))
-    return EmpiricalMeasure(window, dict(weights), float(n), batches,
-                            kind="count", provenance=provenance or {})
+    return EmpiricalMeasure(window, dict(weights), float(n), batches)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +254,7 @@ class MarginalObserver(_TimeBatches):
             if bit is not None:
                 self.code ^= 1 << bit
 
-    def measure(self, provenance=None) -> EmpiricalMeasure:
+    def measure(self) -> EmpiricalMeasure:
         weights: dict = defaultdict(float)
         for w in self.batch_weights:
             for code, t in w.items():
@@ -272,8 +262,7 @@ class MarginalObserver(_TimeBatches):
         batches = [(t, dict(w)) for t, w in
                    zip(self.batch_time, self.batch_weights) if t > 0]
         total = sum(self.batch_time)
-        return EmpiricalMeasure(self.window, dict(weights), total, batches,
-                                kind="time", provenance=provenance or {})
+        return EmpiricalMeasure(self.window, dict(weights), total, batches)
 
 
 class SiteDensityObserver(_TimeBatches):
@@ -359,7 +348,7 @@ def estimate_marginal(engine: ForestFireEngine, window, burn_in, horizon,
     engine.run_until(burn_in)
     obs = MarginalObserver(engine, window, burn_in, horizon, n_batches)
     engine.run_until(horizon, observers=(obs,))
-    return obs.measure(provenance={"burn_in": burn_in, "horizon": horizon})
+    return obs.measure()
 
 
 def default_burn_in(topology: Topology, horizon: float) -> float:
@@ -393,10 +382,6 @@ class ExactDistribution:
                     code |= 1 << j
             out[code] += float(p)
         return dict(out)
-
-    def as_measure(self, window, total=1.0) -> EmpiricalMeasure:
-        window = canonical_window(self.topology, window)
-        return measure_from_probabilities(window, self.marginal(window), total)
 
     def cylinder(self, event: CylinderEvent) -> float:
         marg = self.marginal(event.window)
@@ -548,14 +533,14 @@ def _bootstrap_measure(m: EmpiricalMeasure, rng) -> EmpiricalMeasure:
             total += size
             for c, v in w.items():
                 weights[c] += v
-        return EmpiricalMeasure(m.window, dict(weights), total, kind=m.kind)
+        return EmpiricalMeasure(m.window, dict(weights), total)
     # no batch structure: multinomial resample of the weights
     codes = sorted(m.weights)
     n = max(int(round(m.total)), 1)
     pv = np.array([m.weights[c] for c in codes]) / m.total
     counts = rng.multinomial(n, pv)
     weights = {c: float(k) for c, k in zip(codes, counts) if k}
-    return EmpiricalMeasure(m.window, weights, float(n), kind=m.kind)
+    return EmpiricalMeasure(m.window, weights, float(n))
 
 
 def total_variation_ci(p: EmpiricalMeasure, q: EmpiricalMeasure, rng,
@@ -599,11 +584,6 @@ class MaximalCoupling:
             c = self._pick(self._cum_overlap, rng)
             return c, c
         return self._pick(self._cum_p, rng), self._pick(self._cum_q, rng)
-
-
-def maximal_coupling_sample(p: EmpiricalMeasure, q: EmpiricalMeasure, rng):
-    """One draw from the maximal coupling of p and q."""
-    return MaximalCoupling(p, q).sample(rng)
 
 
 def cylinder_probability(measure, event: CylinderEvent) -> float:

@@ -46,10 +46,7 @@ class SnapshotBank:
         return self.configs[int(rng.integers(len(self.configs)))]
 
     def marginal(self, window):
-        return measure_from_snapshots(
-            self.topology, window, self.configs,
-            provenance={"seed": self.seed, "spacing": self.spacing,
-                        "burn_in": self.burn_in, "mode": "snapshot-bank"})
+        return measure_from_snapshots(self.topology, window, self.configs)
 
     def buckets(self, window):
         """Snapshot indices grouped by their window pattern."""

@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from ffp_lab.blur import (BlurState, BlurTracker, blur_decay_experiment,
-                          epsilon_for, init_blur, update_blur)
+from ffp_lab.blur import (BlurTracker, blur_decay_experiment, epsilon_for,
+                          init_blur)
 from ffp_lab.engine import GROWTH, IGNITION, Event, ForestFireEngine
-from ffp_lab.errors import ConsistencyError, InvalidParameterError
+from ffp_lab.errors import InvalidParameterError
 from ffp_lab.lattice import (TORUS, WINDOW, build_topology, cluster_of,
                              site_boundary)
 from ffp_lab.rng import make_rng
@@ -17,6 +17,31 @@ def torus(k=3):
 
 def idx(topo, *coords):
     return [topo.index_of[c] for c in coords]
+
+
+def update_blur(blur, topo, event, config_after):
+    """Offline oracle of the marking rule: after an effective growth in
+    the closure, a fresh traversal finds the grown cluster, and if it or
+    its boundary holds a mark, the cluster (within the closure) is marked."""
+    if event.kind != GROWTH or event.site not in blur.closure:
+        return
+    cluster = cluster_of(config_after, topo, event.site)
+    touched = set(cluster)
+    for m in cluster:
+        touched.update(topo.adjacency[m])
+    if touched & blur.flags:
+        blur.flags.update(cluster & blur.closure)
+
+
+def tracked(cfg, topo, S):
+    """An engine on cfg with a BlurTracker for S listening."""
+    engine = ForestFireEngine(topo, 1.0, make_rng(0), cfg)
+    return engine, BlurTracker(init_blur(engine.occ, topo, S), topo)
+
+
+def apply(engine, tracker, event):
+    changed = engine.apply_event(event)
+    tracker.on_event(engine, event, changed)
 
 
 class TestEpsilonFor:
@@ -77,40 +102,29 @@ class TestInitBlur:
 
 
 class TestUpdateBlur:
+    """The marking rule as BlurTracker applies it to engine events."""
+
     def test_growth_next_to_flag_spreads(self):
         topo = torus()
-        blur = init_blur([0] * topo.n_sites, topo, idx(topo, (0, 0)))
-        cfg = [0] * topo.n_sites
+        engine, tracker = tracked([0] * topo.n_sites, topo, idx(topo, (0, 0)))
         x = topo.index_of[(0, 0)]
-        cfg[x] = 1
-        update_blur(blur, topo, Event(0.1, x, GROWTH), cfg)
-        assert blur.is_flagged(x)
+        apply(engine, tracker, Event(0.1, x, GROWTH))
+        assert engine.occ[x] and tracker.blur.is_flagged(x)
 
     def test_growth_far_away_ignored(self):
         topo = torus()
-        blur = init_blur([0] * topo.n_sites, topo, idx(topo, (0, 0)))
-        cfg = [0] * topo.n_sites
+        engine, tracker = tracked([0] * topo.n_sites, topo, idx(topo, (0, 0)))
         y = topo.index_of[(2, 2)]
-        cfg[y] = 1
-        before = set(blur.flags)
-        update_blur(blur, topo, Event(0.1, y, GROWTH), cfg)
-        assert blur.flags == before
+        before = set(tracker.blur.flags)
+        apply(engine, tracker, Event(0.1, y, GROWTH))
+        assert engine.occ[y] and tracker.blur.flags == before
 
     def test_ignition_never_changes_flags(self):
         topo = torus()
-        cfg = [1] * topo.n_sites
-        blur = init_blur(cfg, topo, idx(topo, (0, 0)))
-        before = set(blur.flags)
-        update_blur(blur, topo, Event(0.1, 0, IGNITION), cfg)
-        assert blur.flags == before
-
-    def test_inconsistent_config_rejected(self):
-        topo = torus()
-        blur = init_blur([0] * topo.n_sites, topo, idx(topo, (0, 0)))
-        with pytest.raises(ConsistencyError):
-            update_blur(blur, topo,
-                        Event(0.1, topo.index_of[(0, 0)], GROWTH),
-                        [0] * topo.n_sites)
+        engine, tracker = tracked([1] * topo.n_sites, topo, idx(topo, (0, 0)))
+        before = set(tracker.blur.flags)
+        apply(engine, tracker, Event(0.1, 0, IGNITION))
+        assert not any(engine.occ) and tracker.blur.flags == before
 
 
 class TestTrackerAgainstReplay:

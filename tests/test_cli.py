@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffp_lab.cli import (ManifestError, main, parse_manifest, run_experiment,
-                         summarize, validate_manifest)
+from ffp_lab.cli import (_KINDS, ManifestError, main, parse_manifest,
+                         run_experiment, summarize, validate_manifest)
 
 
 def write_manifest(tmp_path, data, name="m.json"):
@@ -23,6 +29,31 @@ BLUR = {"kind": "blur-decay", "lambda": 1.0, "d": 2, "L_list": [1],
 COUPLE = {"kind": "couple", "lambda": 1.0, "d": 2, "K": 4, "k": 2, "L": 1,
           "t": 0.02, "replicas": 20, "seed": 4, "bank_snapshots": 60,
           "bank_burn_in": 10.0}
+CCSB = {"kind": "ccsb", "lambda": 1.0, "d": 2, "k": 1, "mode": "torus",
+        "x": [0, 0], "m_list": [0, 1], "delta": 0.5, "replicas": 20,
+        "sampler": {"kind": "bernoulli", "p": 0.4}, "seed": 5}
+MU_SCAN = {"kind": "mu-scan", "lambda": 1.0, "d": 1, "window": [[0]],
+           "k_list": [1, 2], "horizon": 5.0, "seed": 6}
+# one tiny manifest per kind, each run in well under a second
+TINY = {m["kind"]: m for m in (SIM, STAT, EXACT, BLUR, CCSB, COUPLE, MU_SCAN)}
+
+# the CSV tables of each kind: file name -> header line
+TABLES = {
+    "simulate": {"density.csv": "site,coords,density,stderr"},
+    "stationary": {"measure.csv": "pattern,weight,probability,stderr"},
+    "exact": {"exact.csv": "state,probability"},
+    "blur-decay": {"blur_decay.csv":
+                   "L,t,flagged,replicas,p_hat,ci_low,ci_high"},
+    "ccsb": {"ccsb.csv": "query,m,delta,joint,cond,bound,verdict",
+             "tail.csv": "m,exceed,replicas,p_hat,ci_low,ci_high"},
+    "couple": {"records.csv": "replica,initial_J_equal,agree_on_I,"
+                              "any_I_blurred,in_A_window,in_A_torus",
+               "lemma1.csv": "lhs,blur_term,tv_term,pooled_se,verdict,tv,"
+                             "eq_freq,p_A_window,p_A_torus,replicas"},
+    "mu-scan": {"mu_scan.csv": "k_low,k_high,tv,ci_low,ci_high",
+                "marginal_k1.csv": "pattern,weight,probability,stderr",
+                "marginal_k2.csv": "pattern,weight,probability,stderr"},
+}
 
 
 class TestValidation:
@@ -59,6 +90,17 @@ class TestValidation:
         with pytest.raises(ManifestError):
             parse_manifest(path, "exact")
 
+    def test_nested_kinds_listed_with_other_problems(self):
+        with pytest.raises(ManifestError) as err:
+            validate_manifest(dict(CCSB, delta=-1, sampler={
+                "kind": "replica", "init": {"kind": "frobnicate"}}))
+        problems = err.value.problems
+        assert "delta must be a finite nonnegative number" in problems
+        assert any(p.startswith("sampler.init must be") for p in problems)
+        with pytest.raises(ManifestError) as err:
+            validate_manifest(dict(SIM, init={"kind": "x"}, horizon=-1))
+        assert len(err.value.problems) == 2
+
 
 class TestExitCodes:
     def test_success(self, tmp_path):
@@ -84,24 +126,51 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 3
         assert "residual" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("manifest", [
-        dict(STAT, window=[[5, 5]]),
-        dict(STAT, window=[]),
-        dict(BLUR, x=[9, 9], replicas=2),
-        dict(EXACT, **{"lambda": True}),
-        dict(STAT, window=[[0, 0], 5]),
-        dict(BLUR, L_list=["x"]),
-        dict(BLUR, t_list=[]),
-        dict(STAT, n_batches=0),
-        dict(SIM, horizon=float("inf")),
+    @pytest.mark.parametrize("manifest, problem", [
+        (dict(STAT, window=[[5, 5]]), "unknown site"),
+        (dict(STAT, window=[]), "window must be"),
+        (dict(BLUR, x=[9, 9], replicas=2), "unknown site"),
+        (dict(EXACT, **{"lambda": True}), "lambda must be"),
+        (dict(STAT, window=[[0, 0], 5]), "window must be"),
+        (dict(BLUR, L_list=["x"]), "L_list must be"),
+        (dict(BLUR, t_list=[]), "t_list must be"),
+        (dict(STAT, n_batches=0), "n_batches must be"),
+        (dict(SIM, horizon=float("inf")), "horizon must be"),
+        (dict(SIM, init={"kind": "bernoulli", "p": "x"}), "init.p must be"),
+        (dict(SIM, init=5), "init must be"),
+        (dict(SIM, burn_in=None), "burn_in must be"),
+        (dict(SIM, dump_trajectory="yes"), "dump_trajectory must be"),
+        (dict(BLUR, init={"kind": "stationary", "snapshots": "x"}),
+         "init.snapshots must be"),
+        (dict(CCSB, sampler={"kind": "replica", "s": "x"}),
+         "sampler.s must be"),
+        (dict(CCSB, delta="x"), "delta must be"),
+        (dict(COUPLE, bank_snapshots="x"), "bank_snapshots must be"),
+        (dict(EXACT, edge_file=5), "edge_file must be"),
+        (dict(EXACT, edge_file="missing.edges"), "cannot read edge file"),
+        (dict(EXACT, edge_file="bad.edges"), "bad.edges, line 2"),
+        (dict(SIM, init={"kind": "x"}), "init must be"),
+        (dict(CCSB, sampler={"kind": "x"}), "sampler must be"),
+        (dict(SIM, seed="x"), "seed must be"),
     ], ids=["window-outside-box", "empty-window", "probe-outside-window",
             "bool-lambda", "window-item-not-coord", "L_list-not-int",
-            "empty-t_list", "zero-batches", "infinite-horizon"])
-    def test_bad_manifest_exits_2(self, tmp_path, capsys, manifest):
+            "empty-t_list", "zero-batches", "infinite-horizon",
+            "init-p-not-number", "init-not-object", "null-burn_in",
+            "dump_trajectory-not-bool", "snapshots-not-int",
+            "sampler-s-not-number", "delta-not-number",
+            "bank_snapshots-not-int", "edge_file-not-path",
+            "edge_file-missing", "edge_file-bad-line", "unknown-init-kind",
+            "unknown-sampler-kind", "seed-not-int"])
+    def test_bad_manifest_exits_2(self, tmp_path, capsys, monkeypatch,
+                                  manifest, problem):
+        monkeypatch.chdir(tmp_path)   # relative edge files live here
+        (tmp_path / "bad.edges").write_text("0 1\n1 2 3\n")
         path = write_manifest(tmp_path, manifest)
         assert main([manifest["kind"], "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert problem in err
 
 
 class TestOutputs:
@@ -148,20 +217,29 @@ class TestOutputs:
         assert info["balance_residual"] <= 1e-10
         assert info["solver_iterations"] >= 1
 
-    def test_zero_replicas_warns_but_succeeds(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["blur-decay", "ccsb", "couple"])
+    def test_zero_replicas_warns_but_succeeds(self, tmp_path, capsys, kind):
         out = tmp_path / "run"
-        run_experiment(validate_manifest(dict(BLUR, replicas=0)), out)
-        table = (out / "blur_decay.csv").read_text().splitlines()
-        assert len(table) == 1  # header only
+        run_experiment(validate_manifest(dict(TINY[kind], replicas=0)), out)
+        for name, header in TABLES[kind].items():
+            assert (out / name).read_text().splitlines() == [header]
         assert "warning" in capsys.readouterr().err
+        info = json.loads((out / "run_info.json").read_text())
+        assert info["warning"] == "no replicas"
+        assert (out / "geometry.json").exists() == (kind == "couple")
 
-    def test_summarize(self, tmp_path):
+    @pytest.mark.parametrize("kind", sorted(TINY))
+    def test_summarize(self, tmp_path, kind):
         out = tmp_path / "run"
-        run_experiment(validate_manifest(EXACT), out)
+        run_experiment(validate_manifest(TINY[kind]), out)
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(TABLES[kind])
+        for name, header in TABLES[kind].items():
+            assert (out / name).read_text().splitlines()[0] == header
         text = summarize(out)
-        assert "kind: exact" in text
-        assert "balance residual" in text
-        assert "solver iterations" in text
+        assert f"kind: {kind}" in text
+        if kind == "exact":
+            assert "balance residual" in text
+            assert "solver iterations" in text
         assert summarize(tmp_path / "empty") == "no runs found"
 
 
@@ -186,6 +264,28 @@ class TestDeterminism:
         run_experiment(m2, out2)
         assert (out1 / "blur_decay.csv").read_text() != \
             (out2 / "blur_decay.csv").read_text()
+
+
+POOL = ["x", True, None, -1, 0.5, [], {}, [[0]], {"kind": "x"}]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_mutated_manifest_exits_cleanly(data):
+    """One field of a tiny valid manifest set to a value from a fixed pool
+    (never a large count or horizon): exit code 0, 2 or 3, no traceback."""
+    kind = data.draw(st.sampled_from(sorted(TINY)))
+    manifest = dict(TINY[kind])
+    field = data.draw(st.sampled_from(sorted(set(manifest)
+                                             | set(_KINDS[kind].fields))))
+    manifest[field] = data.draw(st.sampled_from(POOL))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(manifest))
+        code = main([kind, "--manifest", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_env_jobs_parsing(monkeypatch):

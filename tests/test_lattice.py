@@ -4,12 +4,25 @@ from hypothesis import strategies as st
 
 from ffp_lab.errors import InvalidParameterError, InvalidSiteError
 from ffp_lab.lattice import (TORUS, WINDOW, box_coords, build_topology,
-                             closed_set, cluster_of, cluster_union,
-                             config_from_string, config_to_string,
-                             explicit_topology, neighbor_coords,
-                             read_edge_list, site_boundary,
+                             cluster_of, cluster_union, config_to_string,
+                             explicit_topology, read_edge_list, site_boundary,
                              translate_permutation, write_edge_list)
 from ffp_lab.rng import make_rng
+
+
+def neighbor_coords(topology, site):
+    return {topology.coords[j]
+            for j in topology.adjacency[topology.site_index(site)]}
+
+
+def closed_set(topology, sites):
+    """S together with its boundary N(S)."""
+    s = frozenset(topology.site_index(x) for x in sites)
+    return s | site_boundary(topology, s)
+
+
+def config_from_string(text):
+    return [1 if ch == "1" else 0 for ch in text.strip()]
 
 
 def edge_count(topology):
@@ -138,8 +151,9 @@ class TestSets:
 
     def test_closed_set(self):
         topo = build_topology(2, 2, TORUS)
-        s = {topo.site_index((0, 0))}
-        assert closed_set(topo, s) == s | site_boundary(topo, s)
+        closed = closed_set(topo, [(0, 0)])
+        assert {topo.coords[i] for i in closed} == {(0, 0), (1, 0), (-1, 0),
+                                                   (0, 1), (0, -1)}
 
     def test_cluster_of_vacant_is_empty(self):
         topo = build_topology(2, 1, TORUS)

@@ -12,7 +12,6 @@ from ffp_lab.lattice import TORUS, WINDOW, build_topology, explicit_topology
 from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure, MaximalCoupling,
                              canonical_window, cylinder_probability,
                              estimate_marginal, exact_stationary,
-                             maximal_coupling_sample,
                              measure_from_probabilities,
                              measure_from_snapshots, mu_convergence_scan,
                              stationarity_check, total_variation,
@@ -297,7 +296,7 @@ class TestMaximalCoupling:
         rng = make_rng(13)
         p = measure_from_probabilities(((0,),), {0: 0.5, 1: 0.5})
         for _ in range(200):
-            a, b = maximal_coupling_sample(p, p, rng)
+            a, b = MaximalCoupling(p, p).sample(rng)
             assert a == b
 
     def test_marginals_preserved(self):
