@@ -15,8 +15,8 @@ from .coupling import (CoupledExperiment, CoupleParams, Lemma1Report,
                        lemma1_default_scan, lemma1_experiment, lemma1_report)
 from .engine import (GROWTH, IGNITION, Event, ForestFireEngine,
                      TrajectoryRecorder)
-from .errors import (CapacityError, ConsistencyError, EventOrderError,
-                     FfpError, InvalidParameterError, InvalidSiteError,
+from .errors import (CapacityError, EventOrderError, FfpError,
+                     InvalidParameterError, InvalidSiteError,
                      InvalidStateError, WindowMismatchError)
 from .lattice import (EXPLICIT, TORUS, WINDOW, Topology, box_coords,
                       build_topology, cluster_of, cluster_union,

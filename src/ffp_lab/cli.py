@@ -32,7 +32,8 @@ from .ccsb import CcsbQuery, ccsb_check, cluster_size_tail
 from .coupling import CoupleParams, CylinderEvent, lemma1_experiment
 from .engine import ForestFireEngine, TrajectoryRecorder
 from .errors import CapacityError, FfpError, InvalidParameterError
-from .lattice import build_topology, config_to_string, read_edge_list
+from .lattice import (build_topology, config_to_string, explicit_topology,
+                      read_edge_list, read_edges)
 from .measure import (SiteDensityObserver, default_burn_in, estimate_marginal,
                       mu_convergence_scan, pattern_bitstring)
 from .parallel import default_jobs
@@ -286,8 +287,14 @@ def _run_stationary(m, out, jobs):
 
 
 def _run_exact(m, out, jobs):
-    from .measure import exact_stationary
-    topology = _topology_from_manifest(m)
+    from .measure import check_state_cap, exact_stationary
+    if "edge_file" in m:
+        # capped before the topology allocates one entry per site index
+        n, edges = read_edges(m["edge_file"])
+        check_state_cap(n)
+        topology = explicit_topology(n, edges)
+    else:
+        topology = _topology_from_manifest(m)
     exact = exact_stationary(topology, m["lambda"])
     n = topology.n_sites
     rows = [(pattern_bitstring(s, n), float(p))

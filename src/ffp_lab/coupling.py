@@ -2,13 +2,15 @@
 
 Each realization pairs a forest-fire process on a large open window
 (radius K, frozen-vacant exterior) with one on a torus of radius k <= K.
-Both consume the same site-attached event stream, the torus ignoring
-events outside its box, and their initial configurations are drawn from
-a maximal coupling of the two estimated marginals on the box J.  The
-blur process started on J then separates the realizations where outside
-influence could matter: whenever the initial configurations agree on J
-and no probe site is marked, the two configurations must agree on the
-probe box I, realization by realization.
+Both consume one site-attached event stream: the window engine's
+``run_until`` draws every attempt, and a listener replays each attempt
+on a site of the torus box on the torus engine, which never sees the
+rest.  Their initial configurations are drawn from a maximal coupling of
+the two estimated marginals on the box J.  The blur process started on
+J then separates the realizations where outside influence could matter:
+whenever the initial configurations agree on J and no probe site is
+marked, the two configurations must agree on the probe box I,
+realization by realization.
 
 Full initial configurations are drawn by bucketing stationary snapshots
 of each chain by their J-pattern: the maximal coupling picks the
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blur import BlurTracker, init_blur
-from .engine import GROWTH, IGNITION, Event, ForestFireEngine
+from .engine import Event, ForestFireEngine
 from .errors import InvalidParameterError
 from .lattice import TORUS, WINDOW, box_coords, build_topology
 from .measure import CylinderEvent, MaximalCoupling, total_variation_ci
@@ -125,26 +127,8 @@ class CoupledExperiment:
         t_engine = ForestFireEngine(self.torus_topo, p.lam, rng, cfg_t)
         blur = init_blur(w_engine.occ, self.window_topo, self._J_w, 0.0)
         tracker = BlurTracker(blur, self.window_topo)
-
-        n_w = self.window_topo.n_sites
-        scale = 1.0 / (n_w * (1.0 + p.lam))
-        p_growth = 1.0 / (1.0 + p.lam)
-        clock = 0.0
-        while True:
-            clock += rng.exponential(scale)
-            if clock > p.t:
-                break
-            site = int(rng.integers(n_w))
-            kind = GROWTH if rng.random() < p_growth else IGNITION
-            ev = Event(clock, site, kind)
-            changed = w_engine.apply_event(ev)
-            tracker.on_event(w_engine, ev, changed)
-            ti = self._to_torus[site]
-            if ti is not None:
-                t_engine.apply_event(Event(clock, ti, kind))
-        # both engines are fed only by the shared stream; park the clocks at t
-        w_engine.clock = p.t
-        t_engine.clock = p.t
+        mirror = _TorusMirror(t_engine, self._to_torus)
+        w_engine.run_until(p.t, listeners=(tracker, mirror))
 
         occ_w, occ_t = w_engine.occ, t_engine.occ
         agree = all(occ_w[iw] == occ_t[it]
@@ -162,6 +146,20 @@ class CoupledExperiment:
     def run_many(self, replicas: int, jobs: int = 1) -> list[CoupledRecord]:
         from .parallel import run_chunked
         return run_chunked(_couple_chunk, self, replicas, jobs)
+
+
+class _TorusMirror:
+    """Window-engine listener replaying each attempt on a torus-box site
+    on the torus engine, so both chains consume one event stream."""
+
+    def __init__(self, t_engine, to_torus):
+        self.t_engine = t_engine
+        self.to_torus = to_torus
+
+    def on_event(self, engine, event, changed):
+        ti = self.to_torus[event.site]
+        if ti is not None:
+            self.t_engine.apply_event(Event(event.time, ti, event.kind))
 
 
 def _couple_chunk(experiment, start, stop):

@@ -142,9 +142,6 @@ class ForestFireEngine:
             return []
         return self._members[self._find(i)]
 
-    def cluster_size(self, site) -> int:
-        return len(self.cluster_members(site))
-
     # ---- dynamics ----
 
     def _occupy(self, site):
@@ -196,14 +193,6 @@ class ForestFireEngine:
             return []
         self.effective["burn"] += 1
         return self._burn(site)
-
-    def burn_cluster(self, site) -> list[int]:
-        """Vacate the whole occupied cluster of an occupied site."""
-        i = self.topology.site_index(site)
-        if not self.occ[i]:
-            raise InvalidStateError("cannot burn the cluster of a vacant site")
-        self.effective["burn"] += 1
-        return self._burn(i)
 
     def run_until(self, T, observers=(), listeners=()):
         """Advance the trajectory to time T.
@@ -301,11 +290,8 @@ class ForestFireEngine:
 class TrajectoryRecorder:
     """Listener writing one "time site kind" line per applied event."""
 
-    def __init__(self, fh, effective_only=False):
+    def __init__(self, fh):
         self.fh = fh
-        self.effective_only = effective_only
 
     def on_event(self, engine, event, changed):
-        if self.effective_only and not changed:
-            return
         self.fh.write(f"{event.time!r} {event.site} {event.kind}\n")

@@ -25,9 +25,5 @@ class EventOrderError(FfpError):
     """An event older than the current simulation clock was applied."""
 
 
-class ConsistencyError(FfpError):
-    """Two objects that must describe the same system disagree."""
-
-
 class WindowMismatchError(InvalidParameterError):
     """Two measures defined on different site windows were combined."""

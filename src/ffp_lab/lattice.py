@@ -141,8 +141,9 @@ def explicit_topology(n_sites: int, edges) -> Topology:
                     [sorted(s) for s in adjacency], max(degree, 1))
 
 
-def read_edge_list(path) -> Topology:
-    """Read an explicit graph from a text file, one "i j" pair per line.
+def read_edges(path) -> tuple[int, list]:
+    """Parse an edge file, one "i j" pair per line, into the site count
+    (one past the largest index) and the edge list.
 
     An unreadable file or a malformed line raises InvalidParameterError
     naming the file (and the line).
@@ -167,7 +168,12 @@ def read_edge_list(path) -> Topology:
                 f"got {line!r}") from None
         edges.append((i, j))
         n = max(n, i + 1, j + 1)
-    return explicit_topology(n, edges)
+    return n, edges
+
+
+def read_edge_list(path) -> Topology:
+    """Read an explicit graph from an edge file (see read_edges)."""
+    return explicit_topology(*read_edges(path))
 
 
 def write_edge_list(topology: Topology, path) -> None:

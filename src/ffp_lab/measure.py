@@ -75,15 +75,6 @@ class CylinderEvent:
     def site_occupied(cls, coord: Coord):
         return cls((coord,), frozenset({1}))
 
-    @classmethod
-    def full_space(cls, window):
-        window = tuple(sorted(window))
-        return cls(window, frozenset(range(1 << len(window))))
-
-    def complement(self):
-        universe = frozenset(range(1 << len(self.window)))
-        return CylinderEvent(self.window, universe - self.accept)
-
     def holds_on(self, config, topology: Topology) -> bool:
         return window_pattern(config, topology, self.window) in self.accept
 
@@ -127,16 +118,6 @@ class EmpiricalMeasure:
         props = [w.get(code, 0.0) / size for size, w in self.batches if size > 0]
         arr = np.asarray(props)
         return float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-    def merge(self, other: "EmpiricalMeasure") -> "EmpiricalMeasure":
-        """Associative, commutative combination of two measures."""
-        if self.window != other.window:
-            raise WindowMismatchError("cannot merge measures on different windows")
-        weights = dict(self.weights)
-        for c, w in other.weights.items():
-            weights[c] = weights.get(c, 0.0) + w
-        return EmpiricalMeasure(self.window, weights, self.total + other.total,
-                                self.batches + other.batches)
 
     def rows(self):
         """CSV rows: pattern bitstring, weight, probability, stderr."""
@@ -387,11 +368,6 @@ class ExactDistribution:
         marg = self.marginal(event.window)
         return sum(p for c, p in marg.items() if c in event.accept)
 
-    def site_density(self, site) -> float:
-        i = self.topology.site_index(site)
-        mask = 1 << i
-        return float(sum(p for s, p in enumerate(self.probs) if s & mask))
-
 
 def _build_generator(topology: Topology, lam: float):
     n = topology.n_sites
@@ -441,6 +417,15 @@ def _build_generator(topology: Topology, lam: float):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_states, n_states))
 
 
+def check_state_cap(n_sites: int) -> None:
+    """Raise CapacityError when n_sites exceed DEFAULT_STATE_CAP, the
+    largest site count whose chain is solved exactly."""
+    if n_sites > DEFAULT_STATE_CAP:
+        raise CapacityError(
+            f"{n_sites} sites exceed the {DEFAULT_STATE_CAP}-site "
+            f"cap ({1 << DEFAULT_STATE_CAP} states)")
+
+
 def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
     """Solve the global balance equations pi Q = 0 of the finite chain.
 
@@ -456,10 +441,7 @@ def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
     """
     if lam <= 0:
         raise InvalidParameterError("lambda must be positive")
-    if topology.n_sites > DEFAULT_STATE_CAP:
-        raise CapacityError(
-            f"{topology.n_sites} sites exceed the {DEFAULT_STATE_CAP}-site "
-            f"cap ({1 << DEFAULT_STATE_CAP} states)")
+    check_state_cap(topology.n_sites)
     Q = _build_generator(topology, lam)
     QT = Q.T.tocsr()
     A = QT[1:, 1:]

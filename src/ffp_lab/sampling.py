@@ -26,10 +26,6 @@ class SnapshotBank:
         if spacing <= 0:
             raise InvalidParameterError("snapshot spacing must be positive")
         self.topology = topology
-        self.lam = lam
-        self.spacing = spacing
-        self.burn_in = burn_in
-        self.seed = seed
         self.mode = "stationary-bank"
         engine = ForestFireEngine(topology, lam, make_rng(seed, *stream),
                                   init_config)

@@ -117,6 +117,25 @@ class TestExitCodes:
         assert main(["exact", "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 3
 
+    def test_edge_file_capacity_error_before_topology_is_built(
+            self, tmp_path, monkeypatch):
+        from ffp_lab import lattice, measure
+        sizes = []
+        init = lattice.Topology.__init__
+
+        def spy(topology, dimension, radius, mode, coords, *rest):
+            sizes.append(len(coords))
+            init(topology, dimension, radius, mode, coords, *rest)
+
+        monkeypatch.setattr(lattice.Topology, "__init__", spy)
+        edges = tmp_path / "far.edges"
+        edges.write_text("0 1\n1 1000\n")
+        path = write_manifest(tmp_path, {"kind": "exact", "lambda": 1.0,
+                                         "edge_file": str(edges)})
+        assert main(["exact", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert max(sizes, default=0) <= measure.DEFAULT_STATE_CAP
+
     def test_unconverged_solve_is_capacity_error(self, tmp_path, monkeypatch,
                                                  capsys):
         from ffp_lab import measure

@@ -1,9 +1,12 @@
 import pytest
 
-from ffp_lab.coupling import (CoupledExperiment, CoupleParams,
+from ffp_lab.blur import BlurTracker, init_blur
+from ffp_lab.coupling import (CoupledExperiment, CoupledRecord, CoupleParams,
                               lemma1_experiment, lemma1_report)
+from ffp_lab.engine import Event, ForestFireEngine
 from ffp_lab.errors import InvalidParameterError
 from ffp_lab.measure import CylinderEvent
+from ffp_lab.rng import make_rng
 
 
 def params(**kw):
@@ -11,6 +14,14 @@ def params(**kw):
                 bank_snapshots=120, bank_spacing=1.0, bank_burn_in=20.0)
     base.update(kw)
     return CoupleParams(**base)
+
+
+class Recorder:
+    def __init__(self):
+        self.attempts = []
+
+    def on_event(self, engine, event, changed):
+        self.attempts.append(event)
 
 
 class TestValidation:
@@ -42,6 +53,43 @@ class TestRuns:
     def test_jobs_deterministic(self):
         exp = CoupledExperiment(params())
         assert exp.run_many(16, jobs=1) == exp.run_many(16, jobs=4)
+
+    def test_torus_replays_window_attempts_in_its_box(self):
+        """A replica rebuilt by hand: the window engine draws the stream,
+        and its attempts on torus-box sites are replayed on the torus."""
+        exp = CoupledExperiment(params(t=0.3))
+        p, wt, tt = exp.params, exp.window_topo, exp.torus_topo
+        for rep in range(6):
+            rng = make_rng(p.seed, 53, rep)
+            code_w, code_t = exp.coupling.sample(rng)
+            cfg_w = exp.window_bank.sample_with_pattern(
+                exp.window_bank.buckets(exp.J), code_w, rng)
+            cfg_t = exp.torus_bank.sample_with_pattern(
+                exp.torus_bank.buckets(exp.J), code_t, rng)
+            window = ForestFireEngine(wt, p.lam, rng, cfg_w)
+            blur = init_blur(window.occ, wt, [wt.index_of[c] for c in exp.J],
+                             0.0)
+            recorder = Recorder()
+            window.run_until(p.t, listeners=(BlurTracker(blur, wt), recorder))
+            torus = ForestFireEngine(tt, p.lam, make_rng(0), cfg_t)
+            replayed = 0
+            for ev in recorder.attempts:
+                coord = wt.coords[ev.site]
+                if coord in tt.index_of:
+                    torus.apply_event(Event(ev.time, tt.index_of[coord],
+                                            ev.kind))
+                    replayed += 1
+            blurred = tuple(c for c in exp.I
+                            if blur.is_flagged(wt.index_of[c]))
+            expected = CoupledRecord(
+                initial_J_equal=code_w == code_t,
+                agree_on_I=all(window.occ[wt.index_of[c]]
+                               == torus.occ[tt.index_of[c]] for c in exp.I),
+                any_I_blurred=bool(blurred), blurred_I=blurred,
+                in_A_window=exp.event.holds_on(window.occ, wt),
+                in_A_torus=exp.event.holds_on(torus.occ, tt))
+            assert 0 < replayed < len(recorder.attempts)
+            assert exp.run_one(rep) == expected
 
     def test_t_zero_unblurred_coupled_pairs_agree(self):
         exp = CoupledExperiment(params(t=0.0))

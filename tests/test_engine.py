@@ -4,8 +4,7 @@ import pytest
 
 from ffp_lab.engine import (GROWTH, IGNITION, Event, ForestFireEngine,
                             TrajectoryRecorder)
-from ffp_lab.errors import (EventOrderError, InvalidParameterError,
-                            InvalidStateError)
+from ffp_lab.errors import EventOrderError, InvalidParameterError
 from ffp_lab.lattice import TORUS, WINDOW, build_topology, cluster_of
 from ffp_lab.rng import make_rng
 
@@ -48,11 +47,6 @@ class TestRules:
         with pytest.raises(EventOrderError):
             eng.apply_event(Event(0.5, 1, GROWTH))
 
-    def test_burn_vacant_raises(self):
-        eng = make_engine()
-        with pytest.raises(InvalidStateError):
-            eng.burn_cluster(0)
-
     def test_lambda_must_be_positive(self):
         topo = build_topology(2, 1, TORUS)
         with pytest.raises(InvalidParameterError):
@@ -70,7 +64,7 @@ class TestClusterIndex:
         topo = build_topology(2, 2, TORUS)
         init = [1] * topo.n_sites
         eng = ForestFireEngine(topo, 1.0, make_rng(0), init)
-        assert eng.cluster_size(0) == topo.n_sites
+        assert len(eng.cluster_members(0)) == topo.n_sites
 
     def test_index_matches_bfs_along_trajectory(self):
         eng = make_engine(lam=0.7, seed=3)
@@ -81,7 +75,6 @@ class TestClusterIndex:
     def test_vacant_site_has_empty_cluster(self):
         eng = make_engine()
         assert eng.cluster_members(0) == []
-        assert eng.cluster_size(0) == 0
 
 
 class TestSampling:
