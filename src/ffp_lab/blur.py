@@ -28,16 +28,12 @@ from .stats import wilson_interval
 
 @dataclass
 class BlurState:
-    """Marked-site bookkeeping for one (t0, S) blur process."""
+    """Marked-site bookkeeping for one blur process of a set S."""
 
     S: frozenset
     boundary: frozenset          # N(S), permanently marked
-    t0: float
+    closure: frozenset           # S | N(S)
     flags: set = field(default_factory=set)
-
-    @property
-    def closure(self) -> frozenset:
-        return self.S | self.boundary
 
     def is_flagged(self, site: int) -> bool:
         return site in self.flags
@@ -56,13 +52,13 @@ def _check_window_fits(topology: Topology, sites):
                     "the box")
 
 
-def init_blur(config, topology: Topology, S, t0=0.0) -> BlurState:
+def init_blur(config, topology: Topology, S) -> BlurState:
     """Initial marks: N(S) plus every cluster whose closure meets N(S)."""
     s_idx = frozenset(topology.site_index(x) for x in S)
     _check_window_fits(topology, s_idx)
     boundary = site_boundary(topology, s_idx)
     closure = s_idx | boundary
-    blur = BlurState(s_idx, boundary, t0, set(boundary))
+    blur = BlurState(s_idx, boundary, closure, set(boundary))
     # A cluster's closure meets N(S) iff the cluster touches the closed
     # neighborhood of N(S).
     probe = set(boundary)
@@ -148,7 +144,7 @@ def _decay_chunk(payload, start, stop):
         rng = make_rng(seed, 31, L, rep)
         cfg = sampler.sample(rng)
         engine = ForestFireEngine(topology, lam, rng, cfg)
-        blur = init_blur(engine.occ, topology, S, 0.0)
+        blur = init_blur(engine.occ, topology, S)
         watcher = _FirstFlagWatcher(blur, topology, x_idx)
         engine.run_until(t_max, listeners=(watcher,))
         out.append(watcher.flag_time)

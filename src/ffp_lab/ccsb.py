@@ -55,27 +55,35 @@ class CcsbReport:
     verdict: str             # holds | violated | inconclusive
 
 
-def ccsb_check(sampler, topology: Topology, query: CcsbQuery, replicas,
-               seed=0) -> CcsbReport:
+def ccsb_check(sampler, topology: Topology, queries, replicas,
+               seed=0) -> list[CcsbReport]:
     """Estimate both sides of the conditioned bound over sampled configs.
 
-    The conditioning event is exact set equality of the cluster union of
-    B with D.  Verdicts are CI-aware: a conditioning event observed
-    fewer than MIN_CONDITIONING_COUNT times is inconclusive, and so is a
-    comparison whose intervals straddle the bound.
+    The queries share B, D and x, so one pass over the configurations
+    serves them all; each gets its own report.  The conditioning event
+    is exact set equality of the cluster union of B with D.  Verdicts
+    are CI-aware: a conditioning event observed fewer than
+    MIN_CONDITIONING_COUNT times is inconclusive, and so is a comparison
+    whose intervals straddle the bound.
     """
     if replicas < 1:
         raise InvalidParameterError("need at least one replica")
+    if not queries:
+        return []
+    if len({(q.B, q.D, q.x) for q in queries}) > 1:
+        raise InvalidParameterError("queries must share B, D and x")
+    B, D, x = queries[0].B, queries[0].D, queries[0].x
     rng = make_rng(seed, 40)
-    joint = 0
-    cond = 0
+    sizes = []               # cluster size at x, where the conditioning holds
     for _ in range(replicas):
         cfg = sampler.sample(rng)
-        if cluster_union(cfg, topology, query.B) != query.D:
-            continue
-        cond += 1
-        if len(cluster_of(cfg, topology, query.x)) > query.m:
-            joint += 1
+        if cluster_union(cfg, topology, B) == D:
+            sizes.append(len(cluster_of(cfg, topology, x)))
+    return [_report(q, replicas, sum(s > q.m for s in sizes), len(sizes))
+            for q in queries]
+
+
+def _report(query: CcsbQuery, replicas, joint, cond) -> CcsbReport:
     joint_hat = joint / replicas
     cond_hat = cond / replicas
     bound = query.delta * cond_hat

@@ -288,12 +288,13 @@ def _run_stationary(m, out, jobs):
 
 def _run_exact(m, out, jobs):
     from .measure import check_state_cap, exact_stationary
+    # capped before the topology allocates one entry per site
     if "edge_file" in m:
-        # capped before the topology allocates one entry per site index
         n, edges = read_edges(m["edge_file"])
         check_state_cap(n)
         topology = explicit_topology(n, edges)
     else:
+        check_state_cap((2 * m["k"] + 1) ** m["d"])
         topology = _topology_from_manifest(m)
     exact = exact_stationary(topology, m["lambda"])
     n = topology.n_sites
@@ -320,13 +321,11 @@ def _run_ccsb(m, out, jobs):
                                                    stream=(6,)))
     else:
         sampler = make_init_sampler(topology, lam, spec, seed, stream=(5,))
-    rows = []
-    for qid, mm in enumerate(m["m_list"]):
-        query = CcsbQuery.build(topology, m["B"], m["D"], m["x"], mm,
-                                m["delta"])
-        rep = ccsb_check(sampler, topology, query, m["replicas"], seed)
-        rows.append((qid, mm, m["delta"], rep.joint_hat, rep.cond_hat,
-                     rep.bound, rep.verdict))
+    queries = [CcsbQuery.build(topology, m["B"], m["D"], m["x"], mm,
+                               m["delta"]) for mm in m["m_list"]]
+    reports = ccsb_check(sampler, topology, queries, m["replicas"], seed)
+    rows = [(qid, rep.query.m, m["delta"], rep.joint_hat, rep.cond_hat,
+             rep.bound, rep.verdict) for qid, rep in enumerate(reports)]
     tail = cluster_size_tail(sampler, topology, m["x"], m["m_list"],
                              m["replicas"], seed)
     return {"ccsb.csv": rows, "tail.csv": tail.rows,

@@ -125,7 +125,7 @@ class CoupledExperiment:
 
         w_engine = ForestFireEngine(self.window_topo, p.lam, rng, cfg_w)
         t_engine = ForestFireEngine(self.torus_topo, p.lam, rng, cfg_t)
-        blur = init_blur(w_engine.occ, self.window_topo, self._J_w, 0.0)
+        blur = init_blur(w_engine.occ, self.window_topo, self._J_w)
         tracker = BlurTracker(blur, self.window_topo)
         mirror = _TorusMirror(t_engine, self._to_torus)
         w_engine.run_until(p.t, listeners=(tracker, mirror))

@@ -22,8 +22,9 @@ functionals of the piecewise-constant trajectory: ``accumulate(engine,
 dt)`` is called once per stretch between state changes (with
 ``engine.clock`` at the start of the stretch) and once for the final
 partial stretch, and the optional ``on_event(engine, changed)`` right
-after each effective event, with ``engine.clock`` at its time.  No-op
-attempts cost an observer nothing.  Listeners see every attempt:
+after each effective event, with ``engine.clock`` at its time and the
+stretch ending there already accumulated.  No-op attempts cost an
+observer nothing.  Listeners see every attempt:
 ``on_event(engine, event, changed)``, where ``changed`` is empty for a
 no-op.
 """
@@ -200,7 +201,8 @@ class ForestFireEngine:
         Observers get ``accumulate(engine, dt)`` once per stretch of
         constant state, with the exact holding time, including the final
         partial stretch to T, and ``on_event(engine, changed)`` (if they
-        define it) after each effective event only.  Listeners get
+        define it) after each effective event only, once the stretch
+        ending at it is accumulated.  Listeners get
         ``on_event(engine, event, changed)`` after every attempt,
         no-ops included.  The event sampled past T is drawn and
         discarded, which is exact by memorylessness of the exponential

@@ -9,7 +9,6 @@ as an independent oracle for the Monte Carlo path.
 """
 
 import math
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -158,159 +157,135 @@ def measure_from_snapshots(topology, window, snapshots,
 # Observers
 
 class _TimeBatches:
-    """Equal time batches over an observation window [t_start, t_end).
+    """One time integrator over equal batches of [t_start, t_end).
 
-    The batch of a time comes from a precomputed edge list, so every
-    piece of a stretch has positive length and the per-batch split does
-    not depend on where stretches are cut.  ``_lo``/``_hi`` bound the
-    current batch ``_bi``, for the observers' fast path.
+    Keys (window pattern codes, or occupied sites) are active or not.
+    An active key keeps an "active since" stamp (Newman & Ziff, PRE 64,
+    016706, 2001) and is credited to the current batch when it stops
+    and, with every active key, at each batch edge, so an event costs
+    O(keys it starts or stops).  ``_t`` is the time ``accumulate`` last
+    reached, held at t_end; ``on_event`` takes it as the event time, as
+    the engine accumulates the stretch ending at an event first.  Row 0
+    takes the time before t_start and is not read out.  Batch times come
+    from the edges, ``_t`` and the observation start ``_t0``, so the
+    split does not depend on where stretches are cut.
     """
 
-    def __init__(self, t_start, t_end, n_batches):
+    def __init__(self, engine, t_start, t_end, n_batches, active):
         if t_end <= t_start:
             raise InvalidParameterError("observation horizon must exceed its start")
         if n_batches < 1:
             raise InvalidParameterError("need at least one time batch")
-        self.t_start = t_start
+        batch_len = (t_end - t_start) / n_batches
         self.t_end = t_end
-        self.n_batches = n_batches
-        self.batch_len = (t_end - t_start) / n_batches
-        self.edges = [t_start + (j + 1) * self.batch_len
-                      for j in range(n_batches - 1)]
-        self.batch_time = [0.0] * n_batches
-        self._set_batch(0)
+        self.edges = [t_start + j * batch_len   # edges[j] ends rows[j]
+                      for j in range(n_batches)] + [t_end]
+        self._t = min(engine.clock, t_end)
+        self._t0 = max(self._t, t_start)
+        self.since = dict.fromkeys(active, self._t)
+        self._row = defaultdict(float)   # key -> credited time, this batch
+        self.rows = [self._row]
+        self._hi = t_start
+        self._cross(self._t)
 
-    def _set_batch(self, bi):
-        self._bi = bi
-        self._lo = self.edges[bi - 1] if bi else self.t_start
-        self._hi = self.edges[bi] if bi < len(self.edges) else self.t_end
+    def _credit(self, t):
+        """Credit every active key up to t, in the current batch."""
+        row, since = self._row, self.since
+        for key, s in since.items():
+            if t > s:
+                row[key] += t - s
+                since[key] = t
 
-    def _pieces(self, a, b):
-        """(batch, start, end) pieces of [a, b] inside the window."""
-        a = max(a, self.t_start)
-        b = min(b, self.t_end)
-        edges = self.edges
-        while a < b:
-            bi = bisect_right(edges, a)
-            c = min(b, edges[bi]) if bi < len(edges) else b
-            yield bi, a, c
-            a = c
-
-
-class MarginalObserver(_TimeBatches):
-    """Time-weighted pattern distribution on a window, with time batches.
-
-    Attach as an observer of ``run_until``: ``on_event`` keeps the
-    window's pattern code in step with effective events.
-    """
-
-    def __init__(self, engine: ForestFireEngine, window, t_start, t_end,
-                 n_batches=20):
-        super().__init__(t_start, t_end, n_batches)
-        topology = engine.topology
-        self.window = canonical_window(topology, window)
-        self.bit_of = {topology.index_of[c]: j for j, c in enumerate(self.window)}
-        self.code = 0
-        for site, bit in self.bit_of.items():
-            if engine.occ[site]:
-                self.code |= 1 << bit
-        self.batch_weights = [defaultdict(float) for _ in range(n_batches)]
+    def _cross(self, t):
+        """Close every batch that ends before t."""
+        edges, rows = self.edges, self.rows
+        while t > self._hi and len(rows) < len(edges):
+            self._credit(self._hi)
+            self._row = defaultdict(float)
+            rows.append(self._row)
+            self._hi = edges[len(rows) - 1]
 
     def accumulate(self, engine, dt):
-        a = engine.clock
-        b = a + dt
-        if self._lo <= a < b <= self._hi:   # inside the current batch
-            self.batch_weights[self._bi][self.code] += dt
-            self.batch_time[self._bi] += dt
-            return
-        for bi, a, c in self._pieces(a, b):
-            self.batch_weights[bi][self.code] += c - a
-            self.batch_time[bi] += c - a
-            self._set_batch(bi)
-
-    def on_event(self, engine, changed):
-        bit_of = self.bit_of
-        for site in changed:
-            bit = bit_of.get(site)
-            if bit is not None:
-                self.code ^= 1 << bit
+        t = engine.clock + dt
+        if t > self._hi:
+            self._cross(t)
+            t = min(t, self.t_end)
+        self._t = t
 
     def measure(self) -> EmpiricalMeasure:
+        """Credited time per key over the observed time; the batches
+        carry the per-batch rows for batch-means errors."""
+        self._credit(self._t)
         weights: dict = defaultdict(float)
-        for w in self.batch_weights:
-            for code, t in w.items():
-                weights[code] += t
-        batches = [(t, dict(w)) for t, w in
-                   zip(self.batch_time, self.batch_weights) if t > 0]
-        total = sum(self.batch_time)
+        batches = []
+        edges = self.edges
+        for lo, hi, row in zip(edges, edges[1:], self.rows[1:]):
+            size = min(hi, self._t) - max(lo, self._t0)
+            if size > 0:
+                batches.append((size, dict(row)))
+            for key, w in row.items():
+                weights[key] += w
+        total = float(np.sum([size for size, _ in batches]))
         return EmpiricalMeasure(self.window, dict(weights), total, batches)
 
 
-class SiteDensityObserver(_TimeBatches):
-    """Per-site occupation density with time batches.
+class MarginalObserver(_TimeBatches):
+    """Time-weighted pattern distribution on a window, with time batches;
+    its one active key is the window's pattern code."""
 
-    Each occupied site keeps an "occupied since" stamp (the bookkeeping
-    of Newman & Ziff, PRE 64, 016706, 2001).  Its time is credited when
-    it is vacated and, for all occupied sites, at batch edges, so an
-    event costs O(changed sites) whatever the density.
-    """
+    def __init__(self, engine: ForestFireEngine, window, t_start, t_end,
+                 n_batches=20):
+        topology = engine.topology
+        self.window = canonical_window(topology, window)
+        self.bit_of = {topology.index_of[c]: j for j, c in enumerate(self.window)}
+        self.code = window_pattern(engine.occ, topology, self.window)
+        super().__init__(engine, t_start, t_end, n_batches, (self.code,))
 
-    def __init__(self, engine: ForestFireEngine, t_start, t_end, n_batches=20):
-        super().__init__(t_start, t_end, n_batches)
-        n = engine.topology.n_sites
-        self.site_time = [[0.0] * n for _ in range(n_batches)]
-        self._t = max(engine.clock, t_start)   # observed up to here
-        self.since = {i: self._t for i, v in enumerate(engine.occ) if v}
-
-    def _credit(self, t):
-        """Credit every occupied site up to t, in the current batch."""
-        row = self.site_time[self._bi]
-        since = self.since
-        for i, s in since.items():
-            if t > s:
-                row[i] += t - s
-                since[i] = t
-
-    def accumulate(self, engine, dt):
-        a = engine.clock
-        b = a + dt
-        if self._lo <= a < b <= self._hi:   # inside the current batch
-            self.batch_time[self._bi] += dt
-            self._t = b
-            return
-        for bi, a, c in self._pieces(a, b):
-            while self._bi < bi:
-                self._credit(self._hi)
-                self._set_batch(self._bi + 1)
-            self.batch_time[bi] += c - a
-            self._t = c
+    # bound in each observer's body, where bench/spans.py wraps it
+    accumulate = _TimeBatches.accumulate
 
     def on_event(self, engine, changed):
-        start = max(engine.clock, self.t_start)
-        end = min(engine.clock, self.t_end)
-        occ, since, row = engine.occ, self.since, self.site_time[self._bi]
+        code, bit_of = self.code, self.bit_of
+        for site in changed:
+            bit = bit_of.get(site)
+            if bit is not None:
+                code ^= 1 << bit
+        if code != self.code:
+            t, since = self._t, self.since
+            s = since.pop(self.code)
+            if t > s:
+                self._row[self.code] += t - s
+            since[code] = t
+            self.code = code
+
+
+class SiteDensityObserver(_TimeBatches):
+    """Per-site occupation density with time batches; its active keys
+    are the occupied sites, and ``measure()`` is keyed by site index."""
+
+    def __init__(self, engine: ForestFireEngine, t_start, t_end, n_batches=20):
+        self.window = tuple(engine.topology.coords)
+        super().__init__(engine, t_start, t_end, n_batches,
+                         [i for i, v in enumerate(engine.occ) if v])
+
+    accumulate = _TimeBatches.accumulate
+
+    def on_event(self, engine, changed):
+        t, occ, since, row = self._t, engine.occ, self.since, self._row
         for i in changed:
             if occ[i]:
-                since[i] = start
+                since[i] = t
             else:
                 s = since.pop(i)
-                if end > s:
-                    row[i] += end - s
+                if t > s:
+                    row[i] += t - s
 
     def densities(self):
         """(density, stderr) arrays over sites, batch-means errors."""
-        self._credit(self._t)
-        site_time = np.array(self.site_time)
-        batch_time = np.array(self.batch_time)
-        total = batch_time.sum()
-        dens = site_time.sum(axis=0) / total
-        mask = batch_time > 0
-        props = site_time[mask] / batch_time[mask, None]
-        nb = int(mask.sum())
-        if nb < 2:
-            return dens, np.zeros_like(dens)
-        se = props.std(axis=0, ddof=1) / math.sqrt(nb)
-        return dens, se
+        m = self.measure()
+        sites = range(len(self.window))
+        return (np.array([m.probability(i) for i in sites]),
+                np.array([m.stderr(i) for i in sites]))
 
 
 def estimate_marginal(engine: ForestFireEngine, window, burn_in, horizon,

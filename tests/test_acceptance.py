@@ -229,10 +229,10 @@ def test_criterion_11_epsilon_for():
 def test_criterion_12_ccsb_degenerate():
     topo = build_topology(2, 2, TORUS)
     vacant = VacantSampler(topo)
-    holds = all(
-        ccsb_check(vacant, topo, CcsbQuery.build(topo, [], [], (0, 0), m, dl),
-                   100).verdict == "holds"
-        for m in (0, 1, 5) for dl in (0.0, 0.5, 1.0))
+    queries = [CcsbQuery.build(topo, [], [], (0, 0), m, dl)
+               for m in (0, 1, 5) for dl in (0.0, 0.5, 1.0)]
+    holds = all(rep.verdict == "holds"
+                for rep in ccsb_check(vacant, topo, queries, 100))
     monotone = True
     for sampler in (vacant, BernoulliSampler(topo, 0.4),
                     SnapshotBank(topo, 1.0, 200, 1.0, 30.0, seed=12)):

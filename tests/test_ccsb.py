@@ -26,19 +26,18 @@ class TestVerdicts:
     def test_vacant_sampler_always_holds(self):
         topo = torus()
         sampler = VacantSampler(topo)
-        for m in (0, 1, 5):
-            for delta in (0.0, 0.1, 1.0):
-                q = CcsbQuery.build(topo, [], [], (0, 0), m, delta)
-                rep = ccsb_check(sampler, topo, q, 200)
-                assert rep.verdict == "holds"
-                assert rep.joint_count == 0
+        queries = [CcsbQuery.build(topo, [], [], (0, 0), m, delta)
+                   for m in (0, 1, 5) for delta in (0.0, 0.1, 1.0)]
+        for rep in ccsb_check(sampler, topo, queries, 200):
+            assert rep.verdict == "holds"
+            assert rep.joint_count == 0
 
     def test_empty_b_reduces_to_unconditioned_tail(self):
         # with B = D = empty, the conditioning event always holds
         topo = torus()
         sampler = BernoulliSampler(topo, 0.4)
         q = CcsbQuery.build(topo, [], [], (0, 0), 0, 1.0)
-        rep = ccsb_check(sampler, topo, q, 300, seed=1)
+        [rep] = ccsb_check(sampler, topo, [q], 300, seed=1)
         assert rep.cond_count == 300
         # delta = 1 bounds any probability, so the verdict cannot be violated
         assert rep.verdict == "holds"
@@ -48,21 +47,39 @@ class TestVerdicts:
         sampler = BernoulliSampler(topo, 0.01)
         # conditioning on a specific 2-cluster is essentially never seen
         q = CcsbQuery.build(topo, [(0, 0)], [(0, 0), (0, 1)], (2, 2), 0, 0.5)
-        rep = ccsb_check(sampler, topo, q, 100, seed=2)
+        [rep] = ccsb_check(sampler, topo, [q], 100, seed=2)
         assert rep.verdict == "inconclusive"
 
     def test_delta_zero_violated_when_tail_common(self):
         topo = torus()
         sampler = BernoulliSampler(topo, 0.9)
         q = CcsbQuery.build(topo, [], [], (0, 0), 0, 0.0)
-        rep = ccsb_check(sampler, topo, q, 300, seed=3)
+        [rep] = ccsb_check(sampler, topo, [q], 300, seed=3)
         assert rep.verdict == "violated"
 
     def test_replicas_required(self):
         topo = torus()
         q = CcsbQuery.build(topo, [], [], (0, 0), 0, 0.5)
         with pytest.raises(InvalidParameterError):
-            ccsb_check(VacantSampler(topo), topo, q, 0)
+            ccsb_check(VacantSampler(topo), topo, [q], 0)
+
+    def test_one_pass_matches_one_call_per_query(self):
+        topo = torus()
+        sampler = BernoulliSampler(topo, 0.5)
+        queries = [CcsbQuery.build(topo, [(0, 0)], [], (1, 1), m, 0.4)
+                   for m in (0, 1, 3, 6)]
+        together = ccsb_check(sampler, topo, queries, 300, seed=5)
+        alone = [ccsb_check(sampler, topo, [q], 300, seed=5)[0]
+                 for q in queries]
+        assert together == alone
+        assert together[0].joint_count > together[-1].joint_count
+
+    def test_queries_share_conditioning_and_probe(self):
+        topo = torus()
+        queries = [CcsbQuery.build(topo, [], [], (0, 0), 0, 0.5),
+                   CcsbQuery.build(topo, [], [], (1, 0), 0, 0.5)]
+        with pytest.raises(InvalidParameterError):
+            ccsb_check(VacantSampler(topo), topo, queries, 10)
 
 
 class TestTail:

@@ -117,9 +117,10 @@ class TestExitCodes:
         assert main(["exact", "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 3
 
-    def test_edge_file_capacity_error_before_topology_is_built(
-            self, tmp_path, monkeypatch):
-        from ffp_lab import lattice, measure
+    @staticmethod
+    def built_sizes(monkeypatch):
+        """Site counts of every Topology built from now on."""
+        from ffp_lab import lattice
         sizes = []
         init = lattice.Topology.__init__
 
@@ -128,6 +129,12 @@ class TestExitCodes:
             init(topology, dimension, radius, mode, coords, *rest)
 
         monkeypatch.setattr(lattice.Topology, "__init__", spy)
+        return sizes
+
+    def test_edge_file_capacity_error_before_topology_is_built(
+            self, tmp_path, monkeypatch):
+        from ffp_lab import measure
+        sizes = self.built_sizes(monkeypatch)
         edges = tmp_path / "far.edges"
         edges.write_text("0 1\n1 1000\n")
         path = write_manifest(tmp_path, {"kind": "exact", "lambda": 1.0,
@@ -135,6 +142,15 @@ class TestExitCodes:
         assert main(["exact", "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 3
         assert max(sizes, default=0) <= measure.DEFAULT_STATE_CAP
+
+    def test_grid_capacity_error_before_topology_is_built(
+            self, tmp_path, monkeypatch):
+        sizes = self.built_sizes(monkeypatch)
+        path = write_manifest(tmp_path, {"kind": "exact", "lambda": 1.0,
+                                         "d": 1, "k": 8})
+        assert main(["exact", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert sizes == []
 
     def test_unconverged_solve_is_capacity_error(self, tmp_path, monkeypatch,
                                                  capsys):

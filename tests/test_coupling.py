@@ -67,8 +67,7 @@ class TestRuns:
             cfg_t = exp.torus_bank.sample_with_pattern(
                 exp.torus_bank.buckets(exp.J), code_t, rng)
             window = ForestFireEngine(wt, p.lam, rng, cfg_w)
-            blur = init_blur(window.occ, wt, [wt.index_of[c] for c in exp.J],
-                             0.0)
+            blur = init_blur(window.occ, wt, [wt.index_of[c] for c in exp.J])
             recorder = Recorder()
             window.run_until(p.t, listeners=(BlurTracker(blur, wt), recorder))
             torus = ForestFireEngine(tt, p.lam, make_rng(0), cfg_t)

@@ -189,31 +189,58 @@ class TestObserverBatches:
         edges = [self.T0 + (j + 1) * batch_len for j in range(self.NB - 1)]
         return edges + np.linspace(self.T0, self.T1, 997)[1:-1].tolist()
 
+    def assert_same_measure(self, whole, cut, n_batches=NB):
+        """Equal totals, weights and per-batch rows, to 1e-12."""
+        assert len(whole.batches) == len(cut.batches) == n_batches
+        pairs = zip([(whole.total, whole.weights)] + whole.batches,
+                    [(cut.total, cut.weights)] + cut.batches)
+        for (t_a, w_a), (t_b, w_b) in pairs:
+            assert t_a == pytest.approx(t_b, abs=1e-12)
+            assert w_a.keys() == w_b.keys()
+            for key in w_a:
+                assert w_a[key] == pytest.approx(w_b[key], abs=1e-12)
+
     def test_marginal_split_independent_of_cuts(self):
         def make(eng):
             return measure.MarginalObserver(eng, [(0, 0), (0, 1)], self.T0,
                                             self.T1, self.NB)
-        whole = self.feed(make, []).measure()
-        cut = self.feed(make, self.cuts()).measure()
-        assert len(whole.batches) == len(cut.batches) == self.NB
-        for (t_a, w_a), (t_b, w_b) in zip(whole.batches, cut.batches):
-            assert t_a == pytest.approx(t_b, abs=1e-12)
-            assert w_a.keys() == w_b.keys()
-            for code in w_a:
-                assert w_a[code] == pytest.approx(w_b[code], abs=1e-12)
+        self.assert_same_measure(self.feed(make, []).measure(),
+                                 self.feed(make, self.cuts()).measure())
 
     def test_site_density_split_independent_of_cuts(self):
         def make(eng):
             return measure.SiteDensityObserver(eng, self.T0, self.T1, self.NB)
         whole = self.feed(make, [])
         cut = self.feed(make, self.cuts())
-        np.testing.assert_allclose(cut.batch_time, whole.batch_time,
-                                   rtol=0, atol=1e-12)
+        self.assert_same_measure(whole.measure(), cut.measure())
         for a, b in zip(whole.densities(), cut.densities()):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.asarray(cut.site_time),
-                                   np.asarray(whole.site_time),
-                                   rtol=0, atol=1e-12)
+
+    def observe(self, t_attach, t_last, window=(1, 0)):
+        """One-site marginal and site densities for [3, 60) of one seeded
+        trajectory, attached at t_attach and run on to t_last."""
+        topo = build_topology(2, 2, TORUS)
+        eng = ForestFireEngine(topo, 1.0, make_rng(5, 0))
+        eng.run_until(t_attach)
+        obs = (measure.MarginalObserver(eng, [window], 3.0, 60.0, 9),
+               measure.SiteDensityObserver(eng, 3.0, 60.0, 9))
+        for t in (3.0, 60.0, t_last):   # the same draws are discarded
+            eng.run_until(t, observers=obs)
+        return topo.index_of[window], obs
+
+    def test_one_site_marginal_is_the_site_density(self):
+        site, (marginal, density) = self.observe(3.0, 60.0)
+        m = marginal.measure()
+        dens, se = density.densities()
+        assert m.probability(1) == pytest.approx(dens[site], abs=1e-12)
+        assert m.stderr(1) == pytest.approx(se[site], abs=1e-12)
+
+    def test_time_outside_the_window_is_not_observed(self):
+        # attached before t_start and run past t_end: same readout
+        _, inside = self.observe(3.0, 60.0)
+        _, outside = self.observe(0.0, 70.0)
+        for a, b in zip(inside, outside):
+            self.assert_same_measure(a.measure(), b.measure(), 9)
 
     def test_lazy_density_matches_per_attempt_reference(self):
         # reference: credit every occupied site over every holding time
