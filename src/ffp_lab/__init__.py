@@ -8,8 +8,8 @@ bounding cylinder-probability differences.
 
 __version__ = "0.1.0"
 
-from .blur import (BlurState, BlurTracker, blur_decay_experiment, epsilon_for,
-                   init_blur)
+from .blur import (BlurGeometry, BlurState, BlurTracker, blur_decay_experiment,
+                   blur_geometry, epsilon_for, init_blur)
 from .ccsb import CcsbQuery, CcsbReport, ccsb_check, cluster_size_tail
 from .coupling import (CoupledExperiment, CoupleParams, Lemma1Report,
                        lemma1_default_scan, lemma1_experiment, lemma1_report)
@@ -20,14 +20,12 @@ from .errors import (CapacityError, EventOrderError, FfpError,
                      InvalidStateError, WindowMismatchError)
 from .lattice import (EXPLICIT, TORUS, WINDOW, Topology, box_coords,
                       build_topology, cluster_of, cluster_union,
-                      explicit_topology, read_edge_list, site_boundary,
-                      write_edge_list)
+                      explicit_topology, read_edge_list, site_boundary)
 from .measure import (CylinderEvent, EmpiricalMeasure, ExactDistribution,
                       MarginalObserver, MaximalCoupling, SiteDensityObserver,
-                      cylinder_probability, estimate_marginal,
-                      exact_stationary, measure_from_probabilities,
-                      measure_from_snapshots, mu_convergence_scan,
-                      stationarity_check,
+                      estimate_marginal, exact_stationary,
+                      measure_from_probabilities, measure_from_snapshots,
+                      mu_convergence_scan, stationarity_check,
                       total_variation, total_variation_ci,
                       translation_invariance_defect)
 from .rng import make_rng

@@ -16,7 +16,7 @@ monotone growth of the marked set through births.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import GROWTH, ForestFireEngine
 from .errors import InvalidParameterError
@@ -26,51 +26,57 @@ from .rng import make_rng
 from .stats import wilson_interval
 
 
-@dataclass
-class BlurState:
-    """Marked-site bookkeeping for one blur process of a set S."""
+@dataclass(frozen=True)
+class BlurGeometry:
+    """What every replica's blur process of S shares on one topology."""
 
+    topology: Topology
     S: frozenset
     boundary: frozenset          # N(S), permanently marked
     closure: frozenset           # S | N(S)
-    flags: set = field(default_factory=set)
+    probe: tuple                 # sorted closed neighbourhood of N(S)
+
+
+@dataclass
+class BlurState:
+    """One blur process of a set S: its shared geometry and own marks."""
+
+    geometry: BlurGeometry
+    flags: set
 
     def is_flagged(self, site: int) -> bool:
         return site in self.flags
 
 
-def _check_window_fits(topology: Topology, sites):
-    """Box topologies must contain S with one spare ring so that the
-    true lattice boundary of S exists (and, on the torus, carries no
-    wrap edges)."""
-    if topology.mode in (TORUS, WINDOW):
-        k = topology.radius
-        for i in sites:
-            if max(abs(c) for c in topology.coords[i]) >= k:
-                raise InvalidParameterError(
-                    "window too small: the blur set must lie strictly inside "
-                    "the box")
-
-
-def init_blur(config, topology: Topology, S) -> BlurState:
-    """Initial marks: N(S) plus every cluster whose closure meets N(S)."""
+def blur_geometry(topology: Topology, S) -> BlurGeometry:
+    """S, N(S), the closure and the probe set of a blur process.  A box
+    topology must contain S with one spare ring so that the true lattice
+    boundary of S exists (and, on the torus, carries no wrap edges)."""
     s_idx = frozenset(topology.site_index(x) for x in S)
-    _check_window_fits(topology, s_idx)
+    if topology.mode in (TORUS, WINDOW) and any(
+            max(map(abs, topology.coords[i])) >= topology.radius
+            for i in s_idx):
+        raise InvalidParameterError(
+            "window too small: the blur set must lie strictly inside the box")
     boundary = site_boundary(topology, s_idx)
-    closure = s_idx | boundary
-    blur = BlurState(s_idx, boundary, closure, set(boundary))
     # A cluster's closure meets N(S) iff the cluster touches the closed
     # neighborhood of N(S).
-    probe = set(boundary)
-    for b in boundary:
-        probe.update(topology.adjacency[b])
+    probe = set(boundary).union(*(topology.adjacency[b] for b in boundary))
+    return BlurGeometry(topology, s_idx, boundary, s_idx | boundary,
+                        tuple(sorted(probe)))
+
+
+def init_blur(config, geometry: BlurGeometry) -> BlurState:
+    """Initial marks: N(S) plus every cluster whose closure meets N(S)."""
+    closure = geometry.closure
+    flags = set(geometry.boundary)
     seen: set = set()
-    for z in sorted(probe):
+    for z in geometry.probe:
         if config[z] and z not in seen:
-            cluster = cluster_of(config, topology, z)
+            cluster = cluster_of(config, geometry.topology, z)
             seen |= cluster
-            blur.flags.update(cluster & closure)
-    return blur
+            flags.update(cluster & closure)
+    return BlurState(geometry, flags)
 
 
 class BlurTracker:
@@ -86,18 +92,19 @@ class BlurTracker:
     incremental cluster index instead of a fresh traversal.
     """
 
-    def __init__(self, blur: BlurState, topology: Topology):
+    def __init__(self, blur: BlurState):
         self.blur = blur
-        self.topology = topology
+        self.closure = blur.geometry.closure
+        self.adjacency = blur.geometry.topology.adjacency
 
     def on_event(self, engine, event, changed):
         if event.kind != GROWTH or not changed:
             return
-        flags, closure = self.blur.flags, self.blur.closure
+        flags, closure = self.blur.flags, self.closure
         if event.site not in closure:
             return
         cluster = engine.cluster_members(event.site)
-        adjacency = self.topology.adjacency
+        adjacency = self.adjacency
         for m in cluster:
             if m in flags or not flags.isdisjoint(adjacency[m]):
                 flags.update(c for c in cluster if c in closure)
@@ -138,14 +145,15 @@ class DecayRow:
 
 def _decay_chunk(payload, start, stop):
     """Per-replica first-marking times for one L (parallel worker)."""
-    topology, lam, S, x_idx, sampler, t_max, seed, L = payload
+    geometry, lam, x_idx, sampler, t_max, seed, L = payload
+    topology = geometry.topology
     out = []
     for rep in range(start, stop):
         rng = make_rng(seed, 31, L, rep)
         cfg = sampler.sample(rng)
         engine = ForestFireEngine(topology, lam, rng, cfg)
-        blur = init_blur(engine.occ, topology, S)
-        watcher = _FirstFlagWatcher(blur, topology, x_idx)
+        blur = init_blur(engine.occ, geometry)
+        watcher = _FirstFlagWatcher(blur, x_idx)
         engine.run_until(t_max, listeners=(watcher,))
         out.append(watcher.flag_time)
     return out
@@ -173,10 +181,10 @@ def blur_decay_experiment(d, lam, x_coord, r_I, L_list, t_list, replicas,
         if topology.n_sites > max_sites:
             raise InvalidParameterError(
                 f"window of radius {radius} exceeds {max_sites} sites")
-        S = [topology.index_of[c] for c in box_coords(d, r_I + L)]
         x_idx = topology.site_index(x_coord)
+        geometry = blur_geometry(topology, box_coords(d, r_I + L))
         sampler = make_init_sampler(topology, lam, init, seed, stream=(30, L))
-        payload = (topology, lam, S, x_idx, sampler, t_max, seed, L)
+        payload = (geometry, lam, x_idx, sampler, t_max, seed, L)
         flag_times = run_chunked(_decay_chunk, payload, replicas, jobs)
         for t in t_list:
             flagged = int(sum(ft <= t for ft in flag_times))
@@ -189,8 +197,8 @@ def blur_decay_experiment(d, lam, x_coord, r_I, L_list, t_list, replicas,
 class _FirstFlagWatcher(BlurTracker):
     """Blur tracker recording when the probe site is first marked."""
 
-    def __init__(self, blur, topology, probe):
-        super().__init__(blur, topology)
+    def __init__(self, blur, probe):
+        super().__init__(blur)
         self.probe = probe
         self.flag_time = 0.0 if blur.is_flagged(probe) else float("inf")
 

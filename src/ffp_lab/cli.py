@@ -287,14 +287,14 @@ def _run_stationary(m, out, jobs):
 
 
 def _run_exact(m, out, jobs):
-    from .measure import check_state_cap, exact_stationary
+    from .measure import check_box_cap, check_state_cap, exact_stationary
     # capped before the topology allocates one entry per site
     if "edge_file" in m:
         n, edges = read_edges(m["edge_file"])
         check_state_cap(n)
         topology = explicit_topology(n, edges)
     else:
-        check_state_cap((2 * m["k"] + 1) ** m["d"])
+        check_box_cap(m["d"], m["k"])
         topology = _topology_from_manifest(m)
     exact = exact_stationary(topology, m["lambda"])
     n = topology.n_sites

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blur import BlurTracker, init_blur
+from .blur import BlurTracker, blur_geometry, init_blur
 from .engine import Event, ForestFireEngine
 from .errors import InvalidParameterError
 from .lattice import TORUS, WINDOW, box_coords, build_topology
@@ -109,7 +109,7 @@ class CoupledExperiment:
         self._t_buckets = self.torus_bank.buckets(self.J)
         self.coupling = MaximalCoupling(self.p_J, self.q_J)
 
-        self._J_w = [self.window_topo.index_of[c] for c in self.J]
+        self._blur_geometry = blur_geometry(self.window_topo, self.J)
         self._I_w = [self.window_topo.index_of[c] for c in self.I]
         self._I_t = [self.torus_topo.index_of[c] for c in self.I]
         # event-stream site translation: window index -> torus index or None
@@ -125,8 +125,8 @@ class CoupledExperiment:
 
         w_engine = ForestFireEngine(self.window_topo, p.lam, rng, cfg_w)
         t_engine = ForestFireEngine(self.torus_topo, p.lam, rng, cfg_t)
-        blur = init_blur(w_engine.occ, self.window_topo, self._J_w)
-        tracker = BlurTracker(blur, self.window_topo)
+        blur = init_blur(w_engine.occ, self._blur_geometry)
+        tracker = BlurTracker(blur)
         mirror = _TorusMirror(t_engine, self._to_torus)
         w_engine.run_until(p.t, listeners=(tracker, mirror))
 

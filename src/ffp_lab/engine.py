@@ -12,10 +12,12 @@ growth with probability 1/(1+lambda).  Attempts on wrong-state sites are
 kept as no-ops, which makes the sampling exact regardless of the current
 configuration.
 
-Cluster membership is maintained incrementally with a union-find over
-the occupied sites.  Fires always remove whole clusters, so a burn can
-simply reset the parent pointers of the retired members; no fully
-dynamic connectivity structure is needed.
+Cluster membership is kept in a union-find over the occupied sites,
+built at construction by one flood-fill labelling (Hoshen & Kopelman,
+PRB 14, 3438, 1976) and merged by size on each growth.  Fires always
+remove whole clusters, so a burn can simply reset the parent pointers
+of the retired members; no fully dynamic connectivity structure is
+needed.
 
 ``run_until`` drives two kinds of callbacks.  Observers integrate
 functionals of the piecewise-constant trajectory: ``accumulate(engine,
@@ -103,15 +105,19 @@ class ForestFireEngine:
         self.effective = {GROWTH: 0, "burn": 0}
         self._sampler = _EventSampler(rng, n, self.lam) if n else None
 
-        # Union-find over occupied sites; members lists live at roots.
-        self._parent = list(range(n))
-        self._members = {i: [i] for i in range(n) if self.occ[i]}
-        adj = topology.adjacency
-        for i in range(n):
-            if self.occ[i]:
-                for j in adj[i]:
-                    if j > i and self.occ[j]:
-                        self._union(i, j)
+        # Members lists live at roots.  A labelled site points at a lower
+        # root, so an occupied r with parent[r] == r starts a new cluster.
+        occ, adj = self.occ, topology.adjacency
+        parent = self._parent = list(range(n))
+        members = self._members = {}
+        for r in range(n):
+            if occ[r] and parent[r] == r:
+                cluster = members[r] = [r]
+                for i in cluster:       # the list grows while it is read
+                    for j in adj[i]:
+                        if occ[j] and parent[j] != r:
+                            parent[j] = r
+                            cluster.append(j)
 
     # ---- cluster index ----
 
@@ -124,18 +130,6 @@ class ForestFireEngine:
             parent[i], i = root, parent[i]
         return root
 
-    def _union(self, a, b):
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return
-        ma, mb = self._members[ra], self._members[rb]
-        if len(ma) < len(mb):
-            ra, rb = rb, ra
-            ma, mb = mb, ma
-        self._parent[rb] = ra
-        ma.extend(mb)
-        del self._members[rb]
-
     def cluster_members(self, site) -> list[int]:
         """Members of the occupied cluster of a site ([] if vacant)."""
         i = self.topology.site_index(site)
@@ -146,14 +140,27 @@ class ForestFireEngine:
     # ---- dynamics ----
 
     def _occupy(self, site):
-        """Growth on a vacant site."""
-        self.occ[site] = 1
-        self._parent[site] = site
-        self._members[site] = [site]
-        occ = self.occ
+        """Growth on a vacant site: union by size with the cluster of each
+        occupied neighbour, found with path compression; the grown site's
+        root wins a tie."""
+        occ, parent, members = self.occ, self._parent, self._members
+        occ[site] = 1
+        parent[site] = root = site
+        mine = members[site] = [site]
         for j in self.topology.adjacency[site]:
             if occ[j]:
-                self._union(site, j)
+                other = j
+                while parent[other] != other:
+                    other = parent[other]
+                while parent[j] != other:
+                    parent[j], j = other, parent[j]
+                if other != root:
+                    theirs = members[other]
+                    if len(mine) < len(theirs):
+                        root, other, mine, theirs = other, root, theirs, mine
+                    parent[other] = root
+                    mine.extend(theirs)
+                    del members[other]
 
     def _burn(self, site) -> list[int]:
         """Vacate the cluster of an occupied site; returns its members."""

@@ -176,14 +176,6 @@ def read_edge_list(path) -> Topology:
     return explicit_topology(*read_edges(path))
 
 
-def write_edge_list(topology: Topology, path) -> None:
-    with open(path, "w") as fh:
-        for i, nbs in enumerate(topology.adjacency):
-            for j in nbs:
-                if i < j:
-                    fh.write(f"{i} {j}\n")
-
-
 def site_boundary(topology: Topology, sites) -> frozenset[int]:
     """Exterior neighbor set N(S) of a set of site indices."""
     s = {topology.site_index(x) for x in sites}

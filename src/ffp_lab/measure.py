@@ -4,8 +4,8 @@ The invariant distribution of the finite forest-fire chain is estimated
 by time averages of a single long trajectory (ergodic estimator), with
 error bars from batch means.  On instances with at most
 ``DEFAULT_STATE_CAP`` sites the full generator is built and the balance
-equations are solved iteratively for the stationary vector, which serves
-as an independent oracle for the Monte Carlo path.
+equations are solved with scipy, imported by that solve alone, for the
+stationary vector: an independent oracle for the Monte Carlo path.
 """
 
 import math
@@ -13,8 +13,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .engine import ForestFireEngine
 from .errors import (CapacityError, InvalidParameterError,
@@ -345,6 +343,7 @@ class ExactDistribution:
 
 
 def _build_generator(topology: Topology, lam: float):
+    import scipy.sparse as sp
     n = topology.n_sites
     n_states = 1 << n
     nb_mask = [0] * n
@@ -401,6 +400,17 @@ def check_state_cap(n_sites: int) -> None:
             f"cap ({1 << DEFAULT_STATE_CAP} states)")
 
 
+def check_box_cap(d: int, k: int) -> None:
+    """check_state_cap for the (2k+1)**d sites of a box, multiplied out
+    only until the product passes the cap, so a huge d costs no time."""
+    n = 1
+    for _ in range(d if k else 0):
+        n *= 2 * k + 1
+        if n > DEFAULT_STATE_CAP:
+            raise CapacityError(f"a box of radius {k} in dimension {d} exceeds "
+                                f"the {DEFAULT_STATE_CAP}-site cap")
+
+
 def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
     """Solve the global balance equations pi Q = 0 of the finite chain.
 
@@ -414,6 +424,7 @@ def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
     converge, or whose balance residual max|pi Q| exceeds BALANCE_TOL,
     raises CapacityError.
     """
+    import scipy.sparse.linalg as spla
     if lam <= 0:
         raise InvalidParameterError("lambda must be positive")
     check_state_cap(topology.n_sites)
@@ -541,24 +552,6 @@ class MaximalCoupling:
             c = self._pick(self._cum_overlap, rng)
             return c, c
         return self._pick(self._cum_p, rng), self._pick(self._cum_q, rng)
-
-
-def cylinder_probability(measure, event: CylinderEvent) -> float:
-    """Probability of a cylinder event under an empirical or exact measure."""
-    if isinstance(measure, ExactDistribution):
-        return measure.cylinder(event)
-    if not set(event.window) <= set(measure.window):
-        raise WindowMismatchError("event window is not contained in the measure window")
-    positions = [measure.window.index(c) for c in event.window]
-    total = 0.0
-    for code, prob in measure.probabilities().items():
-        sub = 0
-        for j, pos in enumerate(positions):
-            if code >> pos & 1:
-                sub |= 1 << j
-        if sub in event.accept:
-            total += prob
-    return total
 
 
 # ---------------------------------------------------------------------------

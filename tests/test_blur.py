@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from ffp_lab.blur import (BlurTracker, blur_decay_experiment, epsilon_for,
-                          init_blur)
+from ffp_lab.blur import (BlurTracker, blur_decay_experiment, blur_geometry,
+                          epsilon_for, init_blur)
 from ffp_lab.engine import GROWTH, IGNITION, Event, ForestFireEngine
 from ffp_lab.errors import InvalidParameterError
-from ffp_lab.lattice import (TORUS, WINDOW, build_topology, cluster_of,
-                             site_boundary)
+from ffp_lab.lattice import (TORUS, WINDOW, box_coords, build_topology,
+                             cluster_of, site_boundary)
 from ffp_lab.rng import make_rng
 
 
@@ -23,20 +23,25 @@ def update_blur(blur, topo, event, config_after):
     """Offline oracle of the marking rule: after an effective growth in
     the closure, a fresh traversal finds the grown cluster, and if it or
     its boundary holds a mark, the cluster (within the closure) is marked."""
-    if event.kind != GROWTH or event.site not in blur.closure:
+    closure = blur.geometry.closure
+    if event.kind != GROWTH or event.site not in closure:
         return
     cluster = cluster_of(config_after, topo, event.site)
     touched = set(cluster)
     for m in cluster:
         touched.update(topo.adjacency[m])
     if touched & blur.flags:
-        blur.flags.update(cluster & blur.closure)
+        blur.flags.update(cluster & closure)
+
+
+def init(cfg, topo, S):
+    return init_blur(cfg, blur_geometry(topo, S))
 
 
 def tracked(cfg, topo, S):
     """An engine on cfg with a BlurTracker for S listening."""
     engine = ForestFireEngine(topo, 1.0, make_rng(0), cfg)
-    return engine, BlurTracker(init_blur(engine.occ, topo, S), topo)
+    return engine, BlurTracker(init(engine.occ, topo, S))
 
 
 def apply(engine, tracker, event):
@@ -69,8 +74,8 @@ class TestEpsilonFor:
 class TestInitBlur:
     def test_boundary_always_flagged(self):
         topo = torus()
-        blur = init_blur([0] * topo.n_sites, topo, idx(topo, (0, 0)))
-        assert blur.flags == set(blur.boundary)
+        blur = init([0] * topo.n_sites, topo, idx(topo, (0, 0)))
+        assert blur.flags == set(blur.geometry.boundary)
 
     def test_cluster_touching_boundary_flagged(self):
         topo = torus()
@@ -78,7 +83,7 @@ class TestInitBlur:
         # path from outside into the closure of S = {origin}
         for c in [(0, 2), (0, 1)]:
             cfg[topo.index_of[c]] = 1
-        blur = init_blur(cfg, topo, idx(topo, (0, 0)))
+        blur = init(cfg, topo, idx(topo, (0, 0)))
         assert blur.is_flagged(topo.index_of[(0, 1)])
 
     def test_interior_cluster_not_flagged(self):
@@ -86,19 +91,53 @@ class TestInitBlur:
         S = idx(topo, *[c for c in topo.coords if max(map(abs, c)) <= 1])
         cfg = [0] * topo.n_sites
         cfg[topo.index_of[(0, 0)]] = 1  # isolated, far from N(S)
-        blur = init_blur(cfg, topo, S)
+        blur = init(cfg, topo, S)
         assert not blur.is_flagged(topo.index_of[(0, 0)])
 
     def test_flags_stay_inside_closure(self):
         topo = torus()
         cfg = [1] * topo.n_sites
-        blur = init_blur(cfg, topo, idx(topo, (0, 0)))
-        assert blur.flags <= blur.closure
+        blur = init(cfg, topo, idx(topo, (0, 0)))
+        assert blur.flags <= blur.geometry.closure
 
     def test_window_fit_validation(self):
         topo = torus(2)
         with pytest.raises(InvalidParameterError):
-            init_blur([0] * topo.n_sites, topo, idx(topo, (2, 0)))
+            blur_geometry(topo, idx(topo, (2, 0)))
+
+
+def brute_flags(cfg, topo, S):
+    """The definition: N(S), plus every occupied cluster whose closed
+    neighbourhood meets N(S), restricted to S | N(S)."""
+    s = set(S)
+    boundary = {j for i in s for j in topo.adjacency[i]} - s
+    flags = set(boundary)
+    for i in range(topo.n_sites):
+        if cfg[i]:
+            cluster = cluster_of(cfg, topo, i)
+            closed = set(cluster).union(*(topo.adjacency[m] for m in cluster))
+            if closed & boundary:
+                flags |= cluster & (s | boundary)
+    return flags
+
+
+class TestBlurGeometry:
+    @pytest.mark.parametrize("mode, k, r", [(TORUS, 4, 1), (WINDOW, 4, 2),
+                                            (WINDOW, 3, 0)])
+    def test_one_geometry_serves_every_configuration(self, mode, k, r):
+        topo = build_topology(2, k, mode)
+        S = idx(topo, *box_coords(2, r))
+        geometry = blur_geometry(topo, S)
+        rng = make_rng(23, k, r)
+        for rep in range(60):
+            cfg = [int(u < rep / 60) for u in rng.random(topo.n_sites)]
+            blur = init_blur(cfg, geometry)
+            assert blur.geometry is geometry
+            assert blur.flags == brute_flags(cfg, topo, S)
+            assert blur.flags is not geometry.boundary
+            blur.flags.update(range(topo.n_sites))   # a replica's own marks
+        assert geometry == blur_geometry(topo, S)
+        assert geometry.boundary == frozenset(site_boundary(topo, S))
 
 
 class TestUpdateBlur:
@@ -133,9 +172,9 @@ class TestTrackerAgainstReplay:
         S = idx(topo, *[c for c in topo.coords if max(map(abs, c)) <= 1])
         rng = make_rng(17, 0)
         eng = ForestFireEngine(topo, 1.0, rng)
-        blur_live = init_blur(eng.occ, topo, S)
-        blur_replay = init_blur(eng.occ, topo, S)
-        tracker = BlurTracker(blur_live, topo)
+        blur_live = init(eng.occ, topo, S)
+        blur_replay = init(eng.occ, topo, S)
+        tracker = BlurTracker(blur_live)
         flag_history = [set(blur_live.flags)]
         for _ in range(800):
             ev = eng.next_event()
@@ -148,7 +187,7 @@ class TestTrackerAgainstReplay:
         # monotone and contained in the closure throughout
         for a, b in zip(flag_history, flag_history[1:]):
             assert a <= b
-        assert blur_live.flags <= blur_live.closure
+        assert blur_live.flags <= blur_live.geometry.closure
 
 
 class TestDecayExperiment:

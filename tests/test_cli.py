@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -151,6 +154,19 @@ class TestExitCodes:
         assert main(["exact", "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 3
         assert sizes == []
+
+    def test_huge_dimension_capacity_error_without_topology(
+            self, tmp_path, monkeypatch):
+        from ffp_lab import cli
+
+        def refuse(*args):
+            raise AssertionError("a topology was built")
+
+        monkeypatch.setattr(cli, "build_topology", refuse)
+        path = write_manifest(tmp_path, {"kind": "exact", "lambda": 1.0,
+                                         "d": 10**7, "k": 1})
+        assert main(["exact", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
 
     def test_unconverged_solve_is_capacity_error(self, tmp_path, monkeypatch,
                                                  capsys):
@@ -333,3 +349,18 @@ def test_env_jobs_parsing(monkeypatch):
     monkeypatch.setenv(ENV_JOBS, "lots")
     with pytest.raises(InvalidParameterError):
         default_jobs()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only the exact solve imports scipy, so no other run pays for it."""
+    code = ("import sys\n"
+            "import ffp_lab.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported by ffp_lab.cli'\n"
+            "from ffp_lab.lattice import explicit_topology\n"
+            "from ffp_lab.measure import exact_stationary\n"
+            "ex = exact_stationary(explicit_topology(2, [(0, 1)]), 1.0)\n"
+            "assert abs(ex.probs.sum() - 1.0) < 1e-12\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr

@@ -1,6 +1,6 @@
 import pytest
 
-from ffp_lab.blur import BlurTracker, init_blur
+from ffp_lab.blur import BlurTracker, blur_geometry, init_blur
 from ffp_lab.coupling import (CoupledExperiment, CoupledRecord, CoupleParams,
                               lemma1_experiment, lemma1_report)
 from ffp_lab.engine import Event, ForestFireEngine
@@ -67,9 +67,10 @@ class TestRuns:
             cfg_t = exp.torus_bank.sample_with_pattern(
                 exp.torus_bank.buckets(exp.J), code_t, rng)
             window = ForestFireEngine(wt, p.lam, rng, cfg_w)
-            blur = init_blur(window.occ, wt, [wt.index_of[c] for c in exp.J])
+            geometry = blur_geometry(wt, [wt.index_of[c] for c in exp.J])
+            blur = init_blur(window.occ, geometry)
             recorder = Recorder()
-            window.run_until(p.t, listeners=(BlurTracker(blur, wt), recorder))
+            window.run_until(p.t, listeners=(BlurTracker(blur), recorder))
             torus = ForestFireEngine(tt, p.lam, make_rng(0), cfg_t)
             replayed = 0
             for ev in recorder.attempts:

@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffp_lab.engine import (GROWTH, IGNITION, Event, ForestFireEngine,
                             TrajectoryRecorder)
 from ffp_lab.errors import EventOrderError, InvalidParameterError
-from ffp_lab.lattice import TORUS, WINDOW, build_topology, cluster_of
+from ffp_lab.lattice import (TORUS, WINDOW, build_topology, cluster_of,
+                             explicit_topology)
 from ffp_lab.rng import make_rng
 
 
@@ -75,6 +78,50 @@ class TestClusterIndex:
     def test_vacant_site_has_empty_cluster(self):
         eng = make_engine()
         assert eng.cluster_members(0) == []
+
+
+@st.composite
+def configured_topology(draw):
+    """A torus, window or explicit topology with a random configuration
+    and a random sequence of (site, kind) events on it."""
+    mode = draw(st.sampled_from([TORUS, WINDOW, "explicit"]))
+    if mode == "explicit":
+        n = draw(st.integers(1, 12))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = draw(st.sets(pairs.filter(lambda e: e[0] < e[1]), max_size=24))
+        topo = explicit_topology(n, sorted(edges))
+    else:
+        topo = build_topology(draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+                              mode)
+    n = topo.n_sites
+    cfg = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    events = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.sampled_from([GROWTH, GROWTH, IGNITION])),
+                           max_size=40))
+    return topo, cfg, events
+
+
+class TestLabelling:
+    """The index built by labelling at construction, and kept by the
+    union in _occupy, matches a fresh traversal at every step."""
+
+    def assert_index_exact(self, eng):
+        topo, occ = eng.topology, eng.occ
+        for i in range(topo.n_sites):
+            if occ[i]:
+                assert set(eng.cluster_members(i)) == cluster_of(occ, topo, i)
+        listed = [m for members in eng._members.values() for m in members]
+        assert sorted(listed) == [i for i in range(topo.n_sites) if occ[i]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(configured_topology())
+    def test_index_matches_traversal(self, case):
+        topo, cfg, events = case
+        eng = ForestFireEngine(topo, 1.0, make_rng(0), cfg)
+        self.assert_index_exact(eng)
+        for t, (site, kind) in enumerate(events, 1):
+            eng.apply_event(Event(float(t), site, kind))
+            self.assert_index_exact(eng)
 
 
 class TestSampling:

@@ -6,8 +6,17 @@ from ffp_lab.errors import InvalidParameterError, InvalidSiteError
 from ffp_lab.lattice import (TORUS, WINDOW, box_coords, build_topology,
                              cluster_of, cluster_union, config_to_string,
                              explicit_topology, read_edge_list, site_boundary,
-                             translate_permutation, write_edge_list)
+                             translate_permutation)
 from ffp_lab.rng import make_rng
+
+
+def write_edge_list(topology, path):
+    """One "i j" line per edge, i < j: the edge-file format read_edges reads."""
+    with open(path, "w") as fh:
+        for i, nbs in enumerate(topology.adjacency):
+            for j in nbs:
+                if i < j:
+                    fh.write(f"{i} {j}\n")
 
 
 def neighbor_coords(topology, site):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -9,14 +11,32 @@ from ffp_lab.engine import Event, ForestFireEngine
 from ffp_lab.errors import (CapacityError, InvalidParameterError,
                             WindowMismatchError)
 from ffp_lab.lattice import TORUS, WINDOW, build_topology, explicit_topology
-from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure, MaximalCoupling,
-                             canonical_window, cylinder_probability,
+from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure, ExactDistribution,
+                             MaximalCoupling, canonical_window,
                              estimate_marginal, exact_stationary,
                              measure_from_probabilities, mu_convergence_scan,
                              stationarity_check, total_variation,
                              total_variation_ci,
                              translation_invariance_defect, window_pattern)
 from ffp_lab.rng import make_rng
+
+
+def cylinder_probability(measure, event: CylinderEvent) -> float:
+    """Probability of a cylinder event under an empirical or exact measure."""
+    if isinstance(measure, ExactDistribution):
+        return measure.cylinder(event)
+    if not set(event.window) <= set(measure.window):
+        raise WindowMismatchError("event window is not contained in the measure window")
+    positions = [measure.window.index(c) for c in event.window]
+    total = 0.0
+    for code, prob in measure.probabilities().items():
+        sub = 0
+        for j, pos in enumerate(positions):
+            if code >> pos & 1:
+                sub |= 1 << j
+        if sub in event.accept:
+            total += prob
+    return total
 
 
 class TestWindows:
@@ -115,6 +135,18 @@ class TestExactOracles:
         topo = build_topology(2, 2, TORUS)
         with pytest.raises(CapacityError):
             exact_stationary(topo, 1.0)
+
+    def test_box_cap_stops_at_the_cap(self):
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError):
+            measure.check_box_cap(10**7, 1)
+        # 3 ** 10**7 alone takes seconds; the factors stop at 27
+        assert time.perf_counter() - t0 < 0.5
+        measure.check_box_cap(10**7, 0)     # one site
+        measure.check_box_cap(2, 1)         # 9 sites
+        measure.check_box_cap(1, 7)         # 15 sites
+        with pytest.raises(CapacityError):
+            measure.check_box_cap(1, 8)     # 17 sites
 
     def test_translation_invariance_exact(self):
         topo = build_topology(2, 1, TORUS)
