@@ -8,7 +8,7 @@ bounding cylinder-probability differences.
 
 __version__ = "0.1.0"
 
-from .blur import (BlurGeometry, BlurState, BlurTracker, blur_decay_experiment,
+from .blur import (BlurGeometry, BlurTracker, blur_decay_experiment,
                    blur_geometry, epsilon_for, init_blur)
 from .ccsb import CcsbQuery, CcsbReport, ccsb_check, cluster_size_tail
 from .coupling import (CoupledExperiment, CoupleParams, Lemma1Report,

@@ -18,8 +18,9 @@ monotone growth of the marked set through births.
 import math
 from dataclasses import dataclass
 
-from .engine import GROWTH, ForestFireEngine
+from .engine import ForestFireEngine
 from .errors import InvalidParameterError
+# cluster_of goes uncalled here, but the benchmark's tracer wraps blur.cluster_of
 from .lattice import (TORUS, WINDOW, Topology, box_coords, cluster_of,
                       site_boundary)
 from .rng import make_rng
@@ -35,17 +36,6 @@ class BlurGeometry:
     boundary: frozenset          # N(S), permanently marked
     closure: frozenset           # S | N(S)
     probe: tuple                 # sorted closed neighbourhood of N(S)
-
-
-@dataclass
-class BlurState:
-    """One blur process of a set S: its shared geometry and own marks."""
-
-    geometry: BlurGeometry
-    flags: set
-
-    def is_flagged(self, site: int) -> bool:
-        return site in self.flags
 
 
 def blur_geometry(topology: Topology, S) -> BlurGeometry:
@@ -66,21 +56,23 @@ def blur_geometry(topology: Topology, S) -> BlurGeometry:
                         tuple(sorted(probe)))
 
 
-def init_blur(config, geometry: BlurGeometry) -> BlurState:
-    """Initial marks: N(S) plus every cluster whose closure meets N(S)."""
-    closure = geometry.closure
-    flags = set(geometry.boundary)
-    seen: set = set()
+def init_blur(engine, geometry: BlurGeometry) -> "BlurTracker":
+    """The blur process of S started on an engine's configuration: N(S)
+    plus the cluster of every occupied probe site, read from the
+    engine's cluster index.  No "touches a mark" test is needed here:
+    a probe-set cluster touches N(S) by construction."""
+    tracker = BlurTracker(geometry)
+    occ, seen = engine.occ, set()
     for z in geometry.probe:
-        if config[z] and z not in seen:
-            cluster = cluster_of(config, geometry.topology, z)
-            seen |= cluster
-            flags.update(cluster & closure)
-    return BlurState(geometry, flags)
+        if occ[z] and z not in seen:
+            cluster = engine.cluster_members(z)
+            seen.update(cluster)
+            tracker.mark(cluster)
+    return tracker
 
 
 class BlurTracker:
-    """Engine listener keeping a BlurState in sync with a trajectory.
+    """Engine observer holding one replica's marks of a blur process.
 
     Only an effective growth inside the closure of S can create marks: a
     newly grown site joins its neighbors into one cluster, and if the
@@ -92,22 +84,24 @@ class BlurTracker:
     incremental cluster index instead of a fresh traversal.
     """
 
-    def __init__(self, blur: BlurState):
-        self.blur = blur
-        self.closure = blur.geometry.closure
-        self.adjacency = blur.geometry.topology.adjacency
+    def __init__(self, geometry: BlurGeometry):
+        self.geometry = geometry
+        self.closure = geometry.closure
+        self.flags = set()
+        self.mark(geometry.boundary)    # N(S) stays marked for good
 
-    def on_event(self, engine, event, changed):
-        if event.kind != GROWTH or not changed:
-            return
-        flags, closure = self.blur.flags, self.closure
-        if event.site not in closure:
-            return
-        cluster = engine.cluster_members(event.site)
-        adjacency = self.adjacency
+    def mark(self, cluster):
+        self.flags.update(self.closure.intersection(cluster))
+
+    def on_event(self, engine, changed):
+        site = changed[0]
+        if not engine.occ[site] or site not in self.closure:
+            return                      # a burn, or a growth outside
+        cluster = engine.cluster_members(site)
+        flags, adjacency = self.flags, self.geometry.topology.adjacency
         for m in cluster:
             if m in flags or not flags.isdisjoint(adjacency[m]):
-                flags.update(c for c in cluster if c in closure)
+                self.mark(cluster)
                 return
 
 
@@ -132,6 +126,9 @@ def epsilon_for(m: int, d_G: int, safety: float = 1.0) -> float:
     return eps
 
 
+MAX_WINDOW_SITES = 20000
+
+
 @dataclass
 class DecayRow:
     L: int
@@ -146,41 +143,37 @@ class DecayRow:
 def _decay_chunk(payload, start, stop):
     """Per-replica first-marking times for one L (parallel worker)."""
     geometry, lam, x_idx, sampler, t_max, seed, L = payload
-    topology = geometry.topology
     out = []
     for rep in range(start, stop):
         rng = make_rng(seed, 31, L, rep)
         cfg = sampler.sample(rng)
-        engine = ForestFireEngine(topology, lam, rng, cfg)
-        blur = init_blur(engine.occ, geometry)
-        watcher = _FirstFlagWatcher(blur, x_idx)
-        engine.run_until(t_max, listeners=(watcher,))
+        engine = ForestFireEngine(geometry.topology, lam, rng, cfg)
+        watcher = _FirstFlagWatcher(init_blur(engine, geometry), x_idx)
+        engine.run_until(t_max, observers=(watcher,))
         out.append(watcher.flag_time)
     return out
 
 
 def blur_decay_experiment(d, lam, x_coord, r_I, L_list, t_list, replicas,
-                          init, seed, margin=1, max_sites=20000,
-                          jobs=1) -> list[DecayRow]:
+                          init, seed, margin=1, jobs=1) -> list[DecayRow]:
     """Frequency of the probe site being marked at each (L, t).
 
     For each L the process runs on a window of radius r_I + L + margin
     with S the box of radius r_I + L; the probe site's first marking
-    time is recorded and thresholded against each t.
+    time is recorded and thresholded against each t.  A window over
+    MAX_WINDOW_SITES sites raises CapacityError before any is built.
     """
     from .lattice import build_topology
+    from .measure import check_box_cap
     from .parallel import run_chunked
     from .sampling import make_init_sampler
-    x_coord = tuple(x_coord)
+    for L in L_list:
+        check_box_cap(d, r_I + L + margin, MAX_WINDOW_SITES)
     t_list = sorted(t_list)
     t_max = t_list[-1]
     rows = []
     for L in sorted(L_list):
-        radius = r_I + L + margin
-        topology = build_topology(d, radius, WINDOW)
-        if topology.n_sites > max_sites:
-            raise InvalidParameterError(
-                f"window of radius {radius} exceeds {max_sites} sites")
+        topology = build_topology(d, r_I + L + margin, WINDOW)
         x_idx = topology.site_index(x_coord)
         geometry = blur_geometry(topology, box_coords(d, r_I + L))
         sampler = make_init_sampler(topology, lam, init, seed, stream=(30, L))
@@ -194,17 +187,17 @@ def blur_decay_experiment(d, lam, x_coord, r_I, L_list, t_list, replicas,
     return rows
 
 
-class _FirstFlagWatcher(BlurTracker):
-    """Blur tracker recording when the probe site is first marked."""
+class _FirstFlagWatcher:
+    """Engine observer recording when a blur process first marks the
+    probe site; the process is not followed after that."""
 
-    def __init__(self, blur, probe):
-        super().__init__(blur)
+    def __init__(self, tracker: BlurTracker, probe):
+        self.tracker = tracker
         self.probe = probe
-        self.flag_time = 0.0 if blur.is_flagged(probe) else float("inf")
+        self.flag_time = 0.0 if probe in tracker.flags else float("inf")
 
-    def on_event(self, engine, event, changed):
-        if self.flag_time < float("inf"):
-            return
-        super().on_event(engine, event, changed)
-        if self.blur.is_flagged(self.probe):
-            self.flag_time = event.time
+    def on_event(self, engine, changed):
+        if self.flag_time == float("inf"):
+            self.tracker.on_event(engine, changed)
+            if self.probe in self.tracker.flags:
+                self.flag_time = engine.clock

@@ -287,14 +287,15 @@ def _run_stationary(m, out, jobs):
 
 
 def _run_exact(m, out, jobs):
-    from .measure import check_box_cap, check_state_cap, exact_stationary
+    from .measure import (DEFAULT_STATE_CAP, check_box_cap, check_state_cap,
+                          exact_stationary)
     # capped before the topology allocates one entry per site
     if "edge_file" in m:
         n, edges = read_edges(m["edge_file"])
         check_state_cap(n)
         topology = explicit_topology(n, edges)
     else:
-        check_box_cap(m["d"], m["k"])
+        check_box_cap(m["d"], m["k"], DEFAULT_STATE_CAP)
         topology = _topology_from_manifest(m)
     exact = exact_stationary(topology, m["lambda"])
     n = topology.n_sites
@@ -467,16 +468,20 @@ def validate_manifest(manifest: dict, kind: str = None) -> dict:
     return manifest
 
 
-def parse_manifest(path, kind: str = None) -> dict:
+def _read_object(path, what) -> dict:
     try:
-        manifest = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ManifestError([f"cannot read {path}: {exc.strerror}"]) from None
     except ValueError as exc:   # undecodable bytes or invalid JSON
-        raise ManifestError([f"manifest is not valid JSON: {exc}"]) from None
-    if not isinstance(manifest, dict):
-        raise ManifestError(["manifest must be a JSON object"])
-    return validate_manifest(manifest, kind)
+        raise ManifestError([f"{what} is not valid JSON: {exc}"]) from None
+    if not isinstance(data, dict):
+        raise ManifestError([f"{what} must be a JSON object"])
+    return data
+
+
+def parse_manifest(path, kind: str = None) -> dict:
+    return validate_manifest(_read_object(path, "manifest"), kind)
 
 
 def run_experiment(manifest: dict, out_dir, jobs: int = 1) -> dict:
@@ -517,7 +522,7 @@ def summarize(out_dir) -> str:
     info_path = out / "run_info.json"
     if not info_path.exists():
         return "no runs found"
-    info = json.loads(info_path.read_text())
+    info = _read_object(info_path, info_path)
     kind = info.get("manifest", {}).get("kind", "?")
     lines = [f"kind: {kind}  seed: {info.get('seed')}  "
              f"version: {info.get('version')}"]
@@ -561,10 +566,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "summarize":
-        print(summarize(args.out_dir))
-        return 0
     try:
+        if args.command == "summarize":
+            print(summarize(args.out_dir))
+            return 0
         manifest = parse_manifest(args.manifest, args.command)
         if args.seed is not None:
             manifest["seed"] = args.seed

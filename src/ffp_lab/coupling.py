@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blur import BlurTracker, blur_geometry, init_blur
+from .blur import blur_geometry, init_blur
 from .engine import Event, ForestFireEngine
 from .errors import InvalidParameterError
 from .lattice import TORUS, WINDOW, box_coords, build_topology
@@ -125,16 +125,15 @@ class CoupledExperiment:
 
         w_engine = ForestFireEngine(self.window_topo, p.lam, rng, cfg_w)
         t_engine = ForestFireEngine(self.torus_topo, p.lam, rng, cfg_t)
-        blur = init_blur(w_engine.occ, self._blur_geometry)
-        tracker = BlurTracker(blur)
+        tracker = init_blur(w_engine, self._blur_geometry)
         mirror = _TorusMirror(t_engine, self._to_torus)
-        w_engine.run_until(p.t, listeners=(tracker, mirror))
+        w_engine.run_until(p.t, observers=(tracker,), listeners=(mirror,))
 
         occ_w, occ_t = w_engine.occ, t_engine.occ
         agree = all(occ_w[iw] == occ_t[it]
                     for iw, it in zip(self._I_w, self._I_t))
         blurred = tuple(c for c, iw in zip(self.I, self._I_w)
-                        if blur.is_flagged(iw))
+                        if iw in tracker.flags)
         return CoupledRecord(
             initial_J_equal=(code_w == code_t),
             agree_on_I=agree,

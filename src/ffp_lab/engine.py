@@ -19,13 +19,13 @@ remove whole clusters, so a burn can simply reset the parent pointers
 of the retired members; no fully dynamic connectivity structure is
 needed.
 
-``run_until`` drives two kinds of callbacks.  Observers integrate
-functionals of the piecewise-constant trajectory: ``accumulate(engine,
-dt)`` is called once per stretch between state changes (with
+``run_until`` drives two kinds of callbacks.  Observers follow state
+changes, through two methods that are each optional: ``accumulate(engine,
+dt)``, called once per stretch between state changes (with
 ``engine.clock`` at the start of the stretch) and once for the final
-partial stretch, and the optional ``on_event(engine, changed)`` right
-after each effective event, with ``engine.clock`` at its time and the
-stretch ending there already accumulated.  No-op attempts cost an
+partial stretch, and ``on_event(engine, changed)``, right after each
+effective event, with ``engine.clock`` at its time and the stretch
+ending there already accumulated.  No-op attempts cost an
 observer nothing.  Listeners see every attempt:
 ``on_event(engine, event, changed)``, where ``changed`` is empty for a
 no-op.
@@ -205,11 +205,11 @@ class ForestFireEngine:
     def run_until(self, T, observers=(), listeners=()):
         """Advance the trajectory to time T.
 
-        Observers get ``accumulate(engine, dt)`` once per stretch of
-        constant state, with the exact holding time, including the final
-        partial stretch to T, and ``on_event(engine, changed)`` (if they
-        define it) after each effective event only, once the stretch
-        ending at it is accumulated.  Listeners get
+        Observers get, for the methods they define, ``accumulate(engine,
+        dt)`` once per stretch of constant state, with the exact holding
+        time, including the final partial stretch to T, and
+        ``on_event(engine, changed)`` after each effective event only,
+        once the stretch ending at it is accumulated.  Listeners get
         ``on_event(engine, event, changed)`` after every attempt,
         no-ops included.  The event sampled past T is drawn and
         discarded, which is exact by memorylessness of the exponential
@@ -218,14 +218,14 @@ class ForestFireEngine:
         """
         if T < self.clock:
             raise InvalidParameterError("horizon lies in the past")
+        accumulators = [ob.accumulate for ob in observers if hasattr(ob, "accumulate")]
         if T == self.clock:
-            for ob in observers:
-                ob.accumulate(self, 0.0)
+            for acc in accumulators:
+                acc(self, 0.0)
             return self
         sampler = self._sampler
         if sampler is None:
             raise InvalidStateError("engine has no sites")
-        accumulators = [ob.accumulate for ob in observers]
         changers = [ob.on_event for ob in observers if hasattr(ob, "on_event")]
         occ, occupy, burn = self.occ, self._occupy, self._burn
         p_growth = sampler.p_growth

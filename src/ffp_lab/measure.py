@@ -400,15 +400,15 @@ def check_state_cap(n_sites: int) -> None:
             f"cap ({1 << DEFAULT_STATE_CAP} states)")
 
 
-def check_box_cap(d: int, k: int) -> None:
-    """check_state_cap for the (2k+1)**d sites of a box, multiplied out
-    only until the product passes the cap, so a huge d costs no time."""
+def check_box_cap(d: int, k: int, cap: int) -> None:
+    """Raise CapacityError when the (2k+1)**d sites of a box exceed cap,
+    multiplied out only until they pass it, so a huge d costs no time."""
     n = 1
     for _ in range(d if k else 0):
         n *= 2 * k + 1
-        if n > DEFAULT_STATE_CAP:
+        if n > cap:
             raise CapacityError(f"a box of radius {k} in dimension {d} exceeds "
-                                f"the {DEFAULT_STATE_CAP}-site cap")
+                                f"the {cap}-site cap")
 
 
 def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:

@@ -44,8 +44,10 @@ def run_chunked(worker, payload, n: int, jobs: int = 1) -> list:
     if jobs <= 1 or n < 2:
         return list(worker(payload, 0, n))
     bounds = chunk_bounds(n, jobs * 4)
+    # a fork-started pool launches all its workers at the first submit
+    workers = min(jobs, len(bounds), len(os.sched_getaffinity(0)))
     out = []
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         futures = [ex.submit(worker, payload, a, b) for a, b in bounds]
         for fut in futures:
             out.extend(fut.result())

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from ffp_lab.blur import (BlurTracker, blur_decay_experiment, blur_geometry,
-                          epsilon_for, init_blur)
+from ffp_lab.blur import (blur_decay_experiment, blur_geometry, epsilon_for,
+                          init_blur)
 from ffp_lab.engine import GROWTH, IGNITION, Event, ForestFireEngine
 from ffp_lab.errors import InvalidParameterError
 from ffp_lab.lattice import (TORUS, WINDOW, box_coords, build_topology,
@@ -35,18 +35,19 @@ def update_blur(blur, topo, event, config_after):
 
 
 def init(cfg, topo, S):
-    return init_blur(cfg, blur_geometry(topo, S))
+    return tracked(cfg, topo, S)[1]
 
 
 def tracked(cfg, topo, S):
-    """An engine on cfg with a BlurTracker for S listening."""
+    """An engine on cfg with the BlurTracker for S started on it."""
     engine = ForestFireEngine(topo, 1.0, make_rng(0), cfg)
-    return engine, BlurTracker(init(engine.occ, topo, S))
+    return engine, init_blur(engine, blur_geometry(topo, S))
 
 
 def apply(engine, tracker, event):
     changed = engine.apply_event(event)
-    tracker.on_event(engine, event, changed)
+    if changed:
+        tracker.on_event(engine, changed)
 
 
 class TestEpsilonFor:
@@ -84,7 +85,7 @@ class TestInitBlur:
         for c in [(0, 2), (0, 1)]:
             cfg[topo.index_of[c]] = 1
         blur = init(cfg, topo, idx(topo, (0, 0)))
-        assert blur.is_flagged(topo.index_of[(0, 1)])
+        assert topo.index_of[(0, 1)] in blur.flags
 
     def test_interior_cluster_not_flagged(self):
         topo = torus()
@@ -92,7 +93,7 @@ class TestInitBlur:
         cfg = [0] * topo.n_sites
         cfg[topo.index_of[(0, 0)]] = 1  # isolated, far from N(S)
         blur = init(cfg, topo, S)
-        assert not blur.is_flagged(topo.index_of[(0, 0)])
+        assert topo.index_of[(0, 0)] not in blur.flags
 
     def test_flags_stay_inside_closure(self):
         topo = torus()
@@ -131,7 +132,8 @@ class TestBlurGeometry:
         rng = make_rng(23, k, r)
         for rep in range(60):
             cfg = [int(u < rep / 60) for u in rng.random(topo.n_sites)]
-            blur = init_blur(cfg, geometry)
+            engine = ForestFireEngine(topo, 1.0, make_rng(0), cfg)
+            blur = init_blur(engine, geometry)
             assert blur.geometry is geometry
             assert blur.flags == brute_flags(cfg, topo, S)
             assert blur.flags is not geometry.boundary
@@ -148,22 +150,22 @@ class TestUpdateBlur:
         engine, tracker = tracked([0] * topo.n_sites, topo, idx(topo, (0, 0)))
         x = topo.index_of[(0, 0)]
         apply(engine, tracker, Event(0.1, x, GROWTH))
-        assert engine.occ[x] and tracker.blur.is_flagged(x)
+        assert engine.occ[x] and x in tracker.flags
 
     def test_growth_far_away_ignored(self):
         topo = torus()
         engine, tracker = tracked([0] * topo.n_sites, topo, idx(topo, (0, 0)))
         y = topo.index_of[(2, 2)]
-        before = set(tracker.blur.flags)
+        before = set(tracker.flags)
         apply(engine, tracker, Event(0.1, y, GROWTH))
-        assert engine.occ[y] and tracker.blur.flags == before
+        assert engine.occ[y] and tracker.flags == before
 
     def test_ignition_never_changes_flags(self):
         topo = torus()
         engine, tracker = tracked([1] * topo.n_sites, topo, idx(topo, (0, 0)))
-        before = set(tracker.blur.flags)
+        before = set(tracker.flags)
         apply(engine, tracker, Event(0.1, 0, IGNITION))
-        assert not any(engine.occ) and tracker.blur.flags == before
+        assert not any(engine.occ) and tracker.flags == before
 
 
 class TestTrackerAgainstReplay:
@@ -172,15 +174,15 @@ class TestTrackerAgainstReplay:
         S = idx(topo, *[c for c in topo.coords if max(map(abs, c)) <= 1])
         rng = make_rng(17, 0)
         eng = ForestFireEngine(topo, 1.0, rng)
-        blur_live = init(eng.occ, topo, S)
-        blur_replay = init(eng.occ, topo, S)
-        tracker = BlurTracker(blur_live)
+        geometry = blur_geometry(topo, S)
+        blur_live = init_blur(eng, geometry)
+        blur_replay = init_blur(eng, geometry)
         flag_history = [set(blur_live.flags)]
         for _ in range(800):
             ev = eng.next_event()
             changed = eng.apply_event(ev)
-            tracker.on_event(eng, ev, changed)
             if changed:
+                blur_live.on_event(eng, changed)
                 update_blur(blur_replay, topo, ev, eng.occ)
             flag_history.append(set(blur_live.flags))
         assert blur_live.flags == blur_replay.flags

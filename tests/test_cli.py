@@ -168,6 +168,29 @@ class TestExitCodes:
         assert main(["exact", "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("d, L_list", [(8, [10]), (2, [1, 200])],
+                             ids=["huge-dimension", "huge-last-L"])
+    def test_blur_window_capacity_error_before_any_topology(
+            self, tmp_path, monkeypatch, capsys, d, L_list):
+        from ffp_lab import lattice
+
+        def refuse(*args):
+            raise AssertionError("a topology was built")
+
+        monkeypatch.setattr(lattice, "build_topology", refuse)
+        path = write_manifest(tmp_path, dict(BLUR, d=d, L_list=L_list))
+        assert main(["blur-decay", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "20000-site cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],
+                             ids=["invalid-json", "not-an-object"])
+    def test_summarize_bad_run_info_exits_2(self, tmp_path, capsys, text):
+        (tmp_path / "run_info.json").write_text(text)
+        assert main(["summarize", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run_info.json" in err
+
     def test_unconverged_solve_is_capacity_error(self, tmp_path, monkeypatch,
                                                  capsys):
         from ffp_lab import measure
@@ -349,6 +372,38 @@ def test_env_jobs_parsing(monkeypatch):
     monkeypatch.setenv(ENV_JOBS, "lots")
     with pytest.raises(InvalidParameterError):
         default_jobs()
+
+
+def test_pool_size_bounded_by_chunks_and_cpus(monkeypatch):
+    """A fork-started pool launches every worker at the first submit, so
+    the pool is never sized by --jobs alone (no real pool is started)."""
+    from concurrent.futures import Future
+
+    from ffp_lab import parallel
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    def squares(payload, start, stop):
+        return [payload * i * i for i in range(start, stop)]
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    out = parallel.run_chunked(squares, 2, 5, jobs=10**6)
+    assert out == squares(2, 0, 5)
+    assert sizes == [min(5, len(os.sched_getaffinity(0)))]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,6 +1,6 @@
 import pytest
 
-from ffp_lab.blur import BlurTracker, blur_geometry, init_blur
+from ffp_lab.blur import blur_geometry, init_blur
 from ffp_lab.coupling import (CoupledExperiment, CoupledRecord, CoupleParams,
                               lemma1_experiment, lemma1_report)
 from ffp_lab.engine import Event, ForestFireEngine
@@ -68,9 +68,9 @@ class TestRuns:
                 exp.torus_bank.buckets(exp.J), code_t, rng)
             window = ForestFireEngine(wt, p.lam, rng, cfg_w)
             geometry = blur_geometry(wt, [wt.index_of[c] for c in exp.J])
-            blur = init_blur(window.occ, geometry)
+            blur = init_blur(window, geometry)
             recorder = Recorder()
-            window.run_until(p.t, listeners=(BlurTracker(blur), recorder))
+            window.run_until(p.t, observers=(blur,), listeners=(recorder,))
             torus = ForestFireEngine(tt, p.lam, make_rng(0), cfg_t)
             replayed = 0
             for ev in recorder.attempts:
@@ -80,7 +80,7 @@ class TestRuns:
                                             ev.kind))
                     replayed += 1
             blurred = tuple(c for c in exp.I
-                            if blur.is_flagged(wt.index_of[c]))
+                            if wt.index_of[c] in blur.flags)
             expected = CoupledRecord(
                 initial_J_equal=code_w == code_t,
                 agree_on_I=all(window.occ[wt.index_of[c]]

@@ -240,6 +240,26 @@ class TestStreamPreserved:
         assert ob.changes == effective
         assert ob.stretches == effective + 1
 
+    def test_observer_with_only_on_event(self):
+        class Changes:
+            def __init__(self):
+                self.times = []
+
+            def on_event(self, engine, changed):
+                assert changed
+                self.times.append(engine.clock)
+
+        a, b = make_engine(seed=15), make_engine(seed=15)
+        ob = Changes()
+        a.run_until(4.0)
+        b.run_until(4.0, observers=(ob,))
+        assert self.finish(a) == self.finish(b)
+        assert len(ob.times) == sum(b.effective.values())
+        assert ob.times == sorted(ob.times) and 0.0 < ob.times[-1] <= 4.0
+        b.run_until(4.0, observers=(ob,))       # T equal to the clock
+        assert self.finish(a) == self.finish(b)
+        assert len(ob.times) == sum(b.effective.values())
+
     def test_listener_does_not_change_stream(self, tmp_path):
         a, b = make_engine(seed=13), make_engine(seed=13)
         a.run_until(4.0)

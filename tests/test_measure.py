@@ -137,16 +137,17 @@ class TestExactOracles:
             exact_stationary(topo, 1.0)
 
     def test_box_cap_stops_at_the_cap(self):
+        cap = measure.DEFAULT_STATE_CAP
         t0 = time.perf_counter()
         with pytest.raises(CapacityError):
-            measure.check_box_cap(10**7, 1)
+            measure.check_box_cap(10**7, 1, cap)
         # 3 ** 10**7 alone takes seconds; the factors stop at 27
         assert time.perf_counter() - t0 < 0.5
-        measure.check_box_cap(10**7, 0)     # one site
-        measure.check_box_cap(2, 1)         # 9 sites
-        measure.check_box_cap(1, 7)         # 15 sites
+        measure.check_box_cap(10**7, 0, cap)     # one site
+        measure.check_box_cap(2, 1, cap)         # 9 sites
+        measure.check_box_cap(1, 7, cap)         # 15 sites
         with pytest.raises(CapacityError):
-            measure.check_box_cap(1, 8)     # 17 sites
+            measure.check_box_cap(1, 8, cap)     # 17 sites
 
     def test_translation_invariance_exact(self):
         topo = build_topology(2, 1, TORUS)
