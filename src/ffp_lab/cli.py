@@ -6,8 +6,10 @@ Usage:
 
 Kinds: simulate, stationary, exact, blur-decay, ccsb, couple, mu-scan.
 Exit codes: 0 success, 2 validation or other package error, 3 capacity
-error (including an exact solve that fails to converge).  The env
-var FFP_LAB_JOBS provides the default parallelism.
+error: any lattice over the bound (lattice.MAX_SITE_COORDS sites x d, set
+from the measured bytes per site of a Topology), exact over 16 sites, or
+a solve that does not converge.  The env var FFP_LAB_JOBS provides the
+default parallelism.
 
 All tables are CSV with a fixed float representation, so a manifest and
 seed fully determine the output bytes, independent of --jobs.
@@ -32,13 +34,13 @@ from .ccsb import CcsbQuery, ccsb_check, cluster_size_tail
 from .coupling import CoupleParams, CylinderEvent, lemma1_experiment
 from .engine import ForestFireEngine, TrajectoryRecorder
 from .errors import CapacityError, FfpError, InvalidParameterError
-from .lattice import (build_topology, config_to_string, explicit_topology,
-                      read_edge_list, read_edges)
+from .lattice import (build_topology, check_box_cap, config_to_string,
+                      read_edge_list)
 from .measure import (SiteDensityObserver, default_burn_in, estimate_marginal,
                       mu_convergence_scan, pattern_bitstring)
 from .parallel import default_jobs
 from .rng import make_rng
-from .sampling import ReplicaSampler, make_init_sampler
+from .sampling import make_init_sampler
 
 
 class ManifestError(InvalidParameterError):
@@ -83,19 +85,12 @@ def _at_least(lo):
     return lambda value, m=None: _is_int(value) and value >= lo
 
 
-def _dimension(manifest):
-    """Coordinate length of the manifest's sites (1 for an edge file);
-    None when d itself is invalid, which is reported elsewhere."""
-    if "edge_file" in manifest:
-        return 1
-    d = manifest.get("d")
-    return d if _is_int(d) and d >= 1 else None
-
-
 def _coord(value, m):
-    dim = _dimension(m)
+    """An integer coordinate of length d (1 for an edge file), or of any
+    non-empty length when d is invalid, which is reported elsewhere."""
+    dim = 1 if "edge_file" in m else m.get("d")
     return (isinstance(value, list) and all(_is_int(c) for c in value)
-            and (len(value) == dim if dim is not None else bool(value)))
+            and (len(value) == dim if _at_least(1)(dim) else bool(value)))
 
 
 def _list_of(ok, allow_empty=False):
@@ -165,8 +160,7 @@ def _walk(m, fields, problems, prefix=""):
             if f.default is _REQUIRED:
                 problems.append(f"missing field: {prefix}{name}")
             elif f.default is not _OPTIONAL:
-                m[name] = (f.default(m) if callable(f.default)
-                           else copy.deepcopy(f.default))
+                m[name] = copy.deepcopy(f.default)
         elif not isinstance(f.ok, dict):
             if not f.ok(m[name], m):
                 problems.append(f"{prefix}{name} must be {f.what}")
@@ -182,6 +176,12 @@ def _walk(m, fields, problems, prefix=""):
 
 # ---------------------------------------------------------------------------
 # Cross-field rules
+
+def _origin_x(m, problems):
+    """x defaults to the origin, filled only once d is known to fit."""
+    if "x" not in m and not problems:
+        m["x"] = [0] * m["d"]
+
 
 def _horizon_after_burn_in(m, problems):
     horizon, burn_in = m.get("horizon"), m["burn_in"]
@@ -239,10 +239,10 @@ def write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _topology_from_manifest(manifest):
+def _topology_from_manifest(manifest, cap=None):
     if "edge_file" in manifest:
-        return read_edge_list(manifest["edge_file"])
-    return build_topology(manifest["d"], manifest["k"], manifest["mode"])
+        return read_edge_list(manifest["edge_file"], cap)
+    return build_topology(manifest["d"], manifest["k"], manifest["mode"], cap)
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +287,8 @@ def _run_stationary(m, out, jobs):
 
 
 def _run_exact(m, out, jobs):
-    from .measure import (DEFAULT_STATE_CAP, check_box_cap, check_state_cap,
-                          exact_stationary)
-    # capped before the topology allocates one entry per site
-    if "edge_file" in m:
-        n, edges = read_edges(m["edge_file"])
-        check_state_cap(n)
-        topology = explicit_topology(n, edges)
-    else:
-        check_box_cap(m["d"], m["k"], DEFAULT_STATE_CAP)
-        topology = _topology_from_manifest(m)
+    from .measure import DEFAULT_STATE_CAP, exact_stationary
+    topology = _topology_from_manifest(m, DEFAULT_STATE_CAP)
     exact = exact_stationary(topology, m["lambda"])
     n = topology.n_sites
     rows = [(pattern_bitstring(s, n), float(p))
@@ -314,14 +306,9 @@ def _run_blur_decay(m, out, jobs):
 
 def _run_ccsb(m, out, jobs):
     topology = _topology_from_manifest(m)
-    spec, lam, seed = m["sampler"], m["lambda"], m["seed"]
-    if spec.get("kind") == "replica":
-        init = spec.get("init", {"kind": "vacant"})
-        sampler = ReplicaSampler(topology, lam, float(spec.get("s", 0.0)),
-                                 make_init_sampler(topology, lam, init, seed,
-                                                   stream=(6,)))
-    else:
-        sampler = make_init_sampler(topology, lam, spec, seed, stream=(5,))
+    seed = m["seed"]
+    sampler = make_init_sampler(topology, m["lambda"], m["sampler"], seed,
+                                stream=(5,))
     queries = [CcsbQuery.build(topology, m["B"], m["D"], m["x"], mm,
                                m["delta"]) for mm in m["m_list"]]
     reports = ccsb_check(sampler, topology, queries, m["replicas"], seed)
@@ -358,14 +345,22 @@ def _run_mu_scan(m, out, jobs):
 # ---------------------------------------------------------------------------
 # One spec per kind
 
-# fields: name -> Field; rules: cross-field checks run after the fields;
+# fields: name -> Field; box: the (d, radius) of the largest box the run
+# builds, or None for an edge file, read once the fields are valid;
+# rules: cross-field checks run after the fields and the box;
 # tables: file name -> column names, where a "{}" name holds one table per
 # key of its rows; summary: (table, row cap, run_info line format);
 # sidecar: manifest keys echoed to geometry.json before the run.
-_Kind = namedtuple("Kind", "fields rules tables summary run sidecar",
+_Kind = namedtuple("Kind", "fields box rules tables summary run sidecar",
                    defaults=("",))
 
 _MEASURE = "pattern weight probability stderr"
+
+
+def _grid_box(m):
+    return None if "edge_file" in m else (m["d"], m["k"])
+
+
 _EVENTS = "attempted events: {events}  effective: {effective}"
 
 _KINDS = {
@@ -376,18 +371,18 @@ _KINDS = {
          "dump_trajectory": _Field(lambda v, m: isinstance(v, bool),
                                   "true or false", False),
          "n_batches": _int(1, 20)},
-        (_horizon_after_burn_in,),
+        _grid_box, (_horizon_after_burn_in,),
         {"density.csv": "site coords density stderr"},
         ("density.csv", 12, _EVENTS), _run_simulate),
     "stationary": _Kind(
         {**_COMMON, **_GRID, "horizon": _HORIZON, "burn_in": _MAYBE_BURN_IN,
          "window": _Field(_list_of(_coord), "a non-empty " + _COORDS),
          "n_batches": _int(1, 20)},
-        (_horizon_after_burn_in,),
+        _grid_box, (_horizon_after_burn_in,),
         {"measure.csv": _MEASURE},
         ("measure.csv", 12, _EVENTS), _run_stationary),
     "exact": _Kind(
-        {**_COMMON, **_GRID}, (),
+        {**_COMMON, **_GRID}, _grid_box, (),
         {"exact.csv": "state probability"},
         ("exact.csv", 8, "balance residual: {balance_residual}  "
                          "solver iterations: {solver_iterations}"),
@@ -395,11 +390,13 @@ _KINDS = {
     "blur-decay": _Kind(
         {**_COMMON, "d": _int(1), "r_I": _int(0, 0), "margin": _int(1, 1),
          "L_list": _COUNTS,
-         "x": _X._replace(default=lambda m: [0] * (_dimension(m) or 1)),
+         "x": _X._replace(default=_OPTIONAL),
          "t_list": _TIMES, "epsilon": _EPS,
          "replicas": _int(0),
          "init": _Field(_INIT, default={"kind": "stationary"})},
-        (_resolve_times,),
+        lambda m: (m["d"],
+                   m["r_I"] + max(m["L_list"], default=0) + m["margin"]),
+        (_origin_x, _resolve_times),
         {"blur_decay.csv": "L t flagged replicas p_hat ci_low ci_high"},
         ("blur_decay.csv", 40, ""), _run_blur_decay),
     "ccsb": _Kind(
@@ -409,7 +406,7 @@ _KINDS = {
          "delta": _Field(_time, _TIME, 1.0),
          "replicas": _int(0),
          "sampler": _Field(_SAMPLER, default={"kind": "stationary"})},
-        (),
+        _grid_box, (),
         {"ccsb.csv": "query m delta joint cond bound verdict",
          "tail.csv": "m exceed replicas p_hat ci_low ci_high"},
         ("ccsb.csv", 40, "max cluster size: {max_cluster_size}"),
@@ -422,7 +419,7 @@ _KINDS = {
          "bank_snapshots": _int(1, 800),
          "bank_spacing": _HORIZON._replace(default=1.0),
          "bank_burn_in": _Field(_time, _TIME, 30.0)},
-        (_couple_geometry,),
+        lambda m: (m["d"], m["K"]), (_couple_geometry,),
         {"records.csv": "replica initial_J_equal agree_on_I any_I_blurred "
                         "in_A_window in_A_torus",
          "lemma1.csv": "lhs blur_term tv_term pooled_se verdict tv eq_freq "
@@ -435,7 +432,7 @@ _KINDS = {
          "k_list": _Field(_list_of(_at_least(1)),
                           "a non-empty list of integers >= 1"),
          "horizon": _HORIZON, "burn_in": _MAYBE_BURN_IN},
-        (_horizon_after_burn_in,),
+        lambda m: (m["d"], max(m["k_list"])), (_horizon_after_burn_in,),
         {"mu_scan.csv": "k_low k_high tv ci_low ci_high",
          "marginal_k{}.csv": _MEASURE},
         ("mu_scan.csv", 40, ""), _run_mu_scan),
@@ -448,7 +445,8 @@ KINDS = tuple(_KINDS)
 
 def validate_manifest(manifest: dict, kind: str = None) -> dict:
     """Validate and fill defaults; raises ManifestError listing every
-    violation found."""
+    violation found, or CapacityError when the run's largest box is over
+    the lattice bound, before any d-long default is filled."""
     manifest = dict(manifest)
     mkind = manifest.get("kind", kind)
     if mkind is None:
@@ -461,6 +459,9 @@ def validate_manifest(manifest: dict, kind: str = None) -> dict:
     manifest["kind"] = mkind
     spec, problems = _KINDS[mkind], []
     _walk(manifest, spec.fields, problems)
+    box = not problems and spec.box(manifest)
+    if box:
+        check_box_cap(box[0], 2 * box[1] + 1)
     for rule in spec.rules:
         rule(manifest, problems)
     if problems:
@@ -523,10 +524,13 @@ def summarize(out_dir) -> str:
     if not info_path.exists():
         return "no runs found"
     info = _read_object(info_path, info_path)
-    kind = info.get("manifest", {}).get("kind", "?")
+    manifest = info.get("manifest", {})
+    if not isinstance(manifest, dict):
+        raise ManifestError([f"{info_path}: manifest must be a JSON object"])
+    kind = manifest.get("kind", "?")
     lines = [f"kind: {kind}  seed: {info.get('seed')}  "
              f"version: {info.get('version')}"]
-    if kind in _KINDS:
+    if kind in KINDS:   # a tuple, so an unhashable kind is just unknown
         table, max_rows, info_line = _KINDS[kind].summary
         if info_line:
             lines.append(info_line.format_map(defaultdict(lambda: None, info)))

@@ -18,13 +18,33 @@ used for every serialized output.
 
 from itertools import product
 
-from .errors import InvalidParameterError, InvalidSiteError
+from .errors import CapacityError, InvalidParameterError, InvalidSiteError
 
 Coord = tuple[int, ...]
 
 TORUS = "torus"
 WINDOW = "window"
 EXPLICIT = "explicit"
+
+# Largest lattice a run may build, as sites x dimension: a Topology holds
+# about 300 B and takes about 30 us to build per site in d = 1-3.
+MAX_SITE_COORDS = 10**6
+
+
+def check_box_cap(d: int, side: int, cap: int = None) -> None:
+    """Raise CapacityError when a box of side**d sites (an n-site graph is
+    d = 1, side = n) exceeds cap sites, by default MAX_SITE_COORDS // d.
+    The product stops once it passes the cap, so a huge d costs no time."""
+    limit = MAX_SITE_COORDS // d if cap is None else cap
+    n = 1
+    for _ in range(d if side > 1 else 0):
+        n *= side
+        if n > limit:
+            break
+    if n > limit:
+        raise CapacityError(f"{side}^{d} sites exceed " + (
+            f"{MAX_SITE_COORDS} sites x dimension" if cap is None
+            else f"the {cap}-site cap"))
 
 
 def box_coords(d: int, k: int) -> list[Coord]:
@@ -47,19 +67,14 @@ class Topology:
         canonical order.
     adjacency : list of list of int
         Sorted neighbor indices per site; symmetric, no self loops.
-    degree_bound : int
-        Upper bound on the vertex degree (3d for the torus including the
-        abstract exterior sites, 2d for windows, the max degree for
-        explicit graphs).
     """
 
-    def __init__(self, dimension, radius, mode, coords, adjacency, degree_bound):
+    def __init__(self, dimension, radius, mode, coords, adjacency):
         self.dimension = dimension
         self.radius = radius
         self.mode = mode
         self.coords = coords
         self.adjacency = adjacency
-        self.degree_bound = degree_bound
         self.index_of = {c: i for i, c in enumerate(coords)}
         if len(self.index_of) != len(coords):
             raise InvalidParameterError("duplicate site coordinates")
@@ -85,14 +100,16 @@ class Topology:
                 f"k={self.radius}, sites={self.n_sites})")
 
 
-def build_topology(d: int, k: int, mode: str) -> Topology:
-    """Build a torus or window box topology of radius k in dimension d."""
+def build_topology(d: int, k: int, mode: str, cap: int = None) -> Topology:
+    """Build a torus or window box topology of radius k in dimension d,
+    refused over cap (see check_box_cap) before anything is allocated."""
     if d < 1:
         raise InvalidParameterError("dimension must be at least 1")
     if k < 0:
         raise InvalidParameterError("radius must be nonnegative")
     if mode not in (TORUS, WINDOW):
         raise InvalidParameterError(f"unknown mode {mode!r}")
+    check_box_cap(d, 2 * k + 1, cap)
 
     coords = box_coords(d, k)
     index_of = {c: i for i, c in enumerate(coords)}
@@ -117,9 +134,7 @@ def build_topology(d: int, k: int, mode: str) -> Topology:
                     opp = c[:axis] + (-k,) + c[axis + 1:]
                     link(i, index_of[opp])
 
-    degree_bound = 3 * d if mode == TORUS else 2 * d
-    return Topology(d, k, mode, coords,
-                    [sorted(s) for s in adjacency], degree_bound)
+    return Topology(d, k, mode, coords, [sorted(s) for s in adjacency])
 
 
 def explicit_topology(n_sites: int, edges) -> Topology:
@@ -136,9 +151,7 @@ def explicit_topology(n_sites: int, edges) -> Topology:
         adjacency[i].add(j)
         adjacency[j].add(i)
     coords = [(i,) for i in range(n_sites)]
-    degree = max((len(s) for s in adjacency), default=0)
-    return Topology(1, None, EXPLICIT, coords,
-                    [sorted(s) for s in adjacency], max(degree, 1))
+    return Topology(1, None, EXPLICIT, coords, [sorted(s) for s in adjacency])
 
 
 def read_edges(path) -> tuple[int, list]:
@@ -171,9 +184,12 @@ def read_edges(path) -> tuple[int, list]:
     return n, edges
 
 
-def read_edge_list(path) -> Topology:
-    """Read an explicit graph from an edge file (see read_edges)."""
-    return explicit_topology(*read_edges(path))
+def read_edge_list(path, cap: int = None) -> Topology:
+    """Read an explicit graph from an edge file (see read_edges), refused
+    over cap (see check_box_cap) before it is built."""
+    n, edges = read_edges(path)
+    check_box_cap(1, n, cap)
+    return explicit_topology(n, edges)
 
 
 def site_boundary(topology: Topology, sites) -> frozenset[int]:

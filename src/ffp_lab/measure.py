@@ -17,7 +17,7 @@ import numpy as np
 from .engine import ForestFireEngine
 from .errors import (CapacityError, InvalidParameterError,
                      WindowMismatchError)
-from .lattice import Coord, Topology, translate_permutation
+from .lattice import Coord, Topology, check_box_cap, translate_permutation
 from .rng import make_rng
 from .stats import paired_se
 
@@ -391,26 +391,6 @@ def _build_generator(topology: Topology, lam: float):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_states, n_states))
 
 
-def check_state_cap(n_sites: int) -> None:
-    """Raise CapacityError when n_sites exceed DEFAULT_STATE_CAP, the
-    largest site count whose chain is solved exactly."""
-    if n_sites > DEFAULT_STATE_CAP:
-        raise CapacityError(
-            f"{n_sites} sites exceed the {DEFAULT_STATE_CAP}-site "
-            f"cap ({1 << DEFAULT_STATE_CAP} states)")
-
-
-def check_box_cap(d: int, k: int, cap: int) -> None:
-    """Raise CapacityError when the (2k+1)**d sites of a box exceed cap,
-    multiplied out only until they pass it, so a huge d costs no time."""
-    n = 1
-    for _ in range(d if k else 0):
-        n *= 2 * k + 1
-        if n > cap:
-            raise CapacityError(f"a box of radius {k} in dimension {d} exceeds "
-                                f"the {cap}-site cap")
-
-
 def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
     """Solve the global balance equations pi Q = 0 of the finite chain.
 
@@ -427,7 +407,7 @@ def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
     import scipy.sparse.linalg as spla
     if lam <= 0:
         raise InvalidParameterError("lambda must be positive")
-    check_state_cap(topology.n_sites)
+    check_box_cap(1, topology.n_sites, DEFAULT_STATE_CAP)
     Q = _build_generator(topology, lam)
     QT = Q.T.tocsr()
     A = QT[1:, 1:]

@@ -110,9 +110,14 @@ def make_init_sampler(topology: Topology, lam, spec: dict, seed, stream=(5,)):
     """Build an initial-configuration sampler from a config dict.
 
     Kinds: {"kind": "vacant"}, {"kind": "bernoulli", "p": ...},
-    {"kind": "stationary", "snapshots": n, "spacing": dt, "burn_in": t}.
+    {"kind": "stationary", "snapshots": n, "spacing": dt, "burn_in": t},
+    {"kind": "replica", "s": s, "init": spec}, its init on stream (6,).
     """
     kind = spec.get("kind", "vacant")
+    if kind == "replica":
+        init = make_init_sampler(topology, lam, spec.get("init", {}), seed,
+                                 stream=(6,))
+        return ReplicaSampler(topology, lam, float(spec.get("s", 0.0)), init)
     if kind == "vacant":
         return VacantSampler(topology)
     if kind == "bernoulli":

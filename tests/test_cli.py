@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from ffp_lab.cli import (_KINDS, ManifestError, main, parse_manifest,
                          run_experiment, summarize, validate_manifest)
+from ffp_lab.errors import CapacityError
 
 
 def write_manifest(tmp_path, data, name="m.json"):
@@ -105,6 +107,30 @@ class TestValidation:
         assert len(err.value.problems) == 2
 
 
+def over_the_bound(kind, field):
+    """Overrides of TINY[kind] that set one lattice-size field just over
+    the lattice bound: the run's largest box then has the fewest sites x d
+    that exceed it."""
+    from ffp_lab.lattice import MAX_SITE_COORDS as bound
+
+    def fits(d, radius):
+        return (2 * radius + 1) ** d * d <= bound
+
+    m = TINY[kind]
+    if field == "d" and "mode" in m:               # the grid kinds
+        return {"d": bound + 1, "k": 0}            # one site, d-long
+    if field == "d":                               # the radius of TINY
+        radius = {"blur-decay": 2, "couple": m.get("K"),
+                  "mu-scan": max(m.get("k_list", [0]))}[kind]
+        return {"d": next(d for d in itertools.count(1)
+                          if not fits(d, radius))}
+    r = next(r for r in itertools.count() if not fits(m["d"], r))
+    return {"k": {"k": r}, "K": {"K": r}, "k_list": {"k_list": [1, r]},
+            "L_list": {"L_list": [1, r - 1]},      # with r_I 0 and margin 1
+            "r_I": {"r_I": r - 2},                 # with L 1 and margin 1
+            "margin": {"margin": r - 1}}[field]    # with r_I 0 and L 1
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         path = write_manifest(tmp_path, EXACT)
@@ -168,7 +194,7 @@ class TestExitCodes:
         assert main(["exact", "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 3
 
-    @pytest.mark.parametrize("d, L_list", [(8, [10]), (2, [1, 200])],
+    @pytest.mark.parametrize("d, L_list", [(8, [10]), (2, [1, 400])],
                              ids=["huge-dimension", "huge-last-L"])
     def test_blur_window_capacity_error_before_any_topology(
             self, tmp_path, monkeypatch, capsys, d, L_list):
@@ -181,15 +207,62 @@ class TestExitCodes:
         path = write_manifest(tmp_path, dict(BLUR, d=d, L_list=L_list))
         assert main(["blur-decay", "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 3
-        assert "20000-site cap" in capsys.readouterr().err
+        assert "sites x dimension" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],
-                             ids=["invalid-json", "not-an-object"])
+    @pytest.mark.parametrize("kind, field", [
+        *[(kind, field) for kind in ("simulate", "stationary", "exact", "ccsb")
+          for field in ("d", "k", "edge_file")],
+        ("blur-decay", "d"), ("blur-decay", "L_list"), ("blur-decay", "r_I"),
+        ("blur-decay", "margin"), ("couple", "d"), ("couple", "K"),
+        ("mu-scan", "d"), ("mu-scan", "k_list")])
+    def test_lattice_just_over_the_bound_exits_3(self, tmp_path, monkeypatch,
+                                                 capsys, kind, field):
+        from ffp_lab import lattice
+
+        def refuse(*args):
+            raise AssertionError("an over-bound lattice was allocated")
+
+        # the allocating calls refuse, so nothing over the bound is built
+        monkeypatch.setattr(lattice, "box_coords", refuse)
+        monkeypatch.setattr(lattice, "explicit_topology", refuse)
+        m = dict(TINY[kind])
+        if field == "edge_file":
+            edges = tmp_path / "far.edges"     # MAX_SITE_COORDS + 1 sites
+            edges.write_text(f"0 1\n1 {lattice.MAX_SITE_COORDS}\n")
+            del m["d"], m["k"], m["mode"]
+            m["edge_file"] = str(edges)
+        else:
+            m.update(over_the_bound(kind, field))
+        d = m.get("d", 1)
+        for key in ("window", "B", "D"):
+            if key in m:
+                m[key] = [[0] * d for _ in m[key]]
+        if "x" in m:                           # blur-decay keeps its default
+            m["x"] = [0] * d
+        if field != "edge_file":               # refused by validation itself
+            with pytest.raises(CapacityError):
+                validate_manifest(m)
+        path = write_manifest(tmp_path, m)
+        assert main([kind, "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]",
+                                      '{"manifest": 5}'],
+                             ids=["invalid-json", "not-an-object",
+                                  "manifest-not-an-object"])
     def test_summarize_bad_run_info_exits_2(self, tmp_path, capsys, text):
         (tmp_path / "run_info.json").write_text(text)
         assert main(["summarize", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "run_info.json" in err
+
+    def test_summarize_unhashable_kind_is_unknown(self, tmp_path, capsys):
+        (tmp_path / "run_info.json").write_text('{"manifest": {"kind": ["x"]}}')
+        assert main(["summarize", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "kind: ['x']  seed: None  version: None"]
 
     def test_unconverged_solve_is_capacity_error(self, tmp_path, monkeypatch,
                                                  capsys):

@@ -77,10 +77,6 @@ class TestTorus:
                 topo = build_topology(d, k, TORUS)
                 assert edge_count(topo) == d * (2 * k + 1) ** d
 
-    def test_degree_bound(self):
-        assert build_topology(2, 2, TORUS).degree_bound == 6
-        assert build_topology(2, 2, WINDOW).degree_bound == 4
-
     def test_single_site(self):
         topo = build_topology(2, 0, TORUS)
         assert topo.n_sites == 1

@@ -10,7 +10,8 @@ from ffp_lab import measure
 from ffp_lab.engine import Event, ForestFireEngine
 from ffp_lab.errors import (CapacityError, InvalidParameterError,
                             WindowMismatchError)
-from ffp_lab.lattice import TORUS, WINDOW, build_topology, explicit_topology
+from ffp_lab.lattice import (TORUS, WINDOW, build_topology, check_box_cap,
+                             explicit_topology)
 from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure, ExactDistribution,
                              MaximalCoupling, canonical_window,
                              estimate_marginal, exact_stationary,
@@ -140,14 +141,14 @@ class TestExactOracles:
         cap = measure.DEFAULT_STATE_CAP
         t0 = time.perf_counter()
         with pytest.raises(CapacityError):
-            measure.check_box_cap(10**7, 1, cap)
+            check_box_cap(10**7, 3, cap)
         # 3 ** 10**7 alone takes seconds; the factors stop at 27
         assert time.perf_counter() - t0 < 0.5
-        measure.check_box_cap(10**7, 0, cap)     # one site
-        measure.check_box_cap(2, 1, cap)         # 9 sites
-        measure.check_box_cap(1, 7, cap)         # 15 sites
+        check_box_cap(10**7, 1, cap)     # one site
+        check_box_cap(2, 3, cap)         # 9 sites
+        check_box_cap(1, 15, cap)        # 15 sites
         with pytest.raises(CapacityError):
-            measure.check_box_cap(1, 8, cap)     # 17 sites
+            check_box_cap(1, 17, cap)    # 17 sites
 
     def test_translation_invariance_exact(self):
         topo = build_topology(2, 1, TORUS)
