@@ -35,7 +35,7 @@ class BlurGeometry:
     S: frozenset
     boundary: frozenset          # N(S), permanently marked
     closure: frozenset           # S | N(S)
-    probe: tuple                 # sorted closure sites in or next to N(S)
+    probe: tuple                 # sorted sites of S next to N(S)
 
 
 def blur_geometry(topology: Topology, S) -> BlurGeometry:
@@ -50,12 +50,12 @@ def blur_geometry(topology: Topology, S) -> BlurGeometry:
             "window too small: the blur set must lie strictly inside the box")
     boundary = site_boundary(topology, s_idx)
     closure = s_idx | boundary
-    # A cluster's closed neighbourhood meets N(S) iff the cluster touches
-    # the closed neighbourhood of N(S); a cluster through a site outside
-    # the closure reaches it only through an N(S) site, probed anyway.
-    near = boundary.union(*(topology.adjacency[b] for b in boundary))
+    # N(S) is marked from the start, and a cluster whose closed
+    # neighbourhood meets N(S) enters S, if at all, at a site of S next
+    # to N(S): those sites are the only ones to probe.
+    near = set().union(*(topology.adjacency[b] for b in boundary))
     return BlurGeometry(topology, s_idx, boundary, closure,
-                        tuple(sorted(near & closure)))
+                        tuple(sorted(near & s_idx)))
 
 
 def init_blur(engine, geometry: BlurGeometry) -> "BlurTracker":

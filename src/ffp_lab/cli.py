@@ -6,10 +6,10 @@ Usage:
 
 Kinds: simulate, stationary, exact, blur-decay, ccsb, couple, mu-scan.
 Exit codes: 0 success, 2 validation or other package error, 3 capacity
-error: any lattice over the bound (lattice.MAX_SITE_COORDS sites x d, set
-from the measured bytes per site of a Topology), exact over 16 sites, or
-a solve that does not converge.  The env var FFP_LAB_JOBS provides the
-default parallelism.
+error: a lattice over lattice.MAX_SITE_COORDS sites x d or a snapshot
+bank over lattice.MAX_BANK_SITES site-snapshots (both set from measured
+bytes per site), exact over 16 sites, or a solve that does not converge.
+The env var FFP_LAB_JOBS provides the default parallelism.
 
 All tables are CSV with a fixed float representation, so a manifest and
 seed fully determine the output bytes, independent of --jobs.

@@ -50,7 +50,8 @@ def window_pattern(config, topology: Topology, window: tuple[Coord, ...]) -> int
 
 
 def pattern_bitstring(code: int, width: int) -> str:
-    return "".join("1" if code >> j & 1 else "0" for j in range(width))
+    """The code as width bits, bit 0 first."""
+    return format(code, f"0{width}b")[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -327,68 +328,63 @@ class ExactDistribution:
     def marginal(self, window) -> dict:
         """Pattern-code probabilities on a window (coords or indices)."""
         window = canonical_window(self.topology, window)
-        bits = [self.topology.index_of[c] for c in window]
-        out: dict = defaultdict(float)
-        for state, p in enumerate(self.probs):
-            code = 0
-            for j, site in enumerate(bits):
-                if state >> site & 1:
-                    code |= 1 << j
-            out[code] += float(p)
-        return dict(out)
+        codes = _pack(np.arange(self.probs.size),
+                      [self.topology.index_of[c] for c in window])
+        mass = np.bincount(codes, self.probs, minlength=1 << len(window))
+        return dict(enumerate(mass.tolist()))
 
     def cylinder(self, event: CylinderEvent) -> float:
         marg = self.marginal(event.window)
         return sum(p for c, p in marg.items() if c in event.accept)
 
 
+def _pack(states, sites):
+    """Codes of an integer array of states: bit j of a code is bit
+    sites[j] of its state."""
+    codes = np.zeros_like(states)
+    for j, site in enumerate(sites):
+        codes |= (states >> site & 1) << j
+    return codes
+
+
 def _build_generator(topology: Topology, lam: float):
+    """Sparse generator over the 2^N states, bit i of a state = site i."""
     import scipy.sparse as sp
     n = topology.n_sites
-    n_states = 1 << n
-    nb_mask = [0] * n
-    for i, nbs in enumerate(topology.adjacency):
-        m = 0
-        for j in nbs:
-            m |= 1 << j
-        nb_mask[i] = m
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n_states)
-
-    def add(s, t, rate):
+    states = np.arange(1 << n)
+    # nb_of[b][v]: the neighbours of the sites 8b..8b+7 set in byte v
+    masks = np.zeros(-(-n // 8) * 8, dtype=states.dtype)
+    masks[:n] = [sum(1 << j for j in nbs) for nbs in topology.adjacency]
+    byte_bits = np.arange(256)[:, None] >> np.arange(8) & 1
+    nb_of = np.bitwise_or.reduce(byte_bits * masks.reshape(-1, 1, 8), axis=2)
+    rows, cols, rates = [], [], []
+    for i in range(n):                  # growth at each vacant site
+        s = states[states >> i & 1 == 0]
         rows.append(s)
-        cols.append(t)
-        vals.append(rate)
-        diag[s] -= rate
-
-    for s in range(n_states):
-        for i in range(n):
-            if not s >> i & 1:
-                add(s, s | (1 << i), 1.0)
-        # occupied components: each site ignition empties its component
-        seen = 0
-        for i in range(n):
-            bit = 1 << i
-            if s & bit and not seen & bit:
-                comp = bit
-                frontier = bit
-                while frontier:
-                    grow = 0
-                    f = frontier
-                    while f:
-                        j = (f & -f).bit_length() - 1
-                        f &= f - 1
-                        grow |= nb_mask[j] & s & ~comp
-                    comp |= grow
-                    frontier = grow
-                seen |= comp
-                add(s, s & ~comp, lam * comp.bit_count())
-
-    rows.extend(range(n_states))
-    cols.extend(range(n_states))
-    vals.extend(diag)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_states, n_states))
+        cols.append(s | 1 << i)
+        rates.append(np.ones(s.size))
+    for i in range(n):                  # ignition of clusters whose lowest site is i
+        s = states[states >> i & 1 == 1]
+        comp = np.full_like(s, 1 << i)
+        while True:                     # at most n flood rounds
+            grown = comp.copy()
+            for b, table in enumerate(nb_of):
+                grown |= table[comp >> 8 * b & 255]
+            grown &= s
+            if np.array_equal(grown, comp):
+                break
+            comp = grown
+        low = comp & ((1 << i) - 1) == 0
+        s, comp = s[low], comp[low]
+        rows.append(s)
+        cols.append(s & ~comp)
+        rates.append(lam * sum(comp >> j & 1 for j in range(n)))
+    rows, cols, rates = map(np.concatenate, (rows, cols, rates))
+    diag = -np.bincount(rows, rates, minlength=states.size)
+    return sp.csr_matrix((np.concatenate((rates, diag)),
+                          (np.concatenate((rows, states)),
+                           np.concatenate((cols, states)))),
+                         shape=(states.size, states.size))
 
 
 def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
@@ -436,19 +432,15 @@ def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
 
 def translation_invariance_defect(exact: ExactDistribution) -> float:
     """Max probability change under one-step torus translations."""
-    topology = exact.topology
-    d = topology.dimension
+    topology, probs = exact.topology, exact.probs
+    states = np.arange(probs.size)
     worst = 0.0
-    n = topology.n_sites
-    for axis in range(d):
-        vec = tuple(1 if a == axis else 0 for a in range(d))
-        perm = translate_permutation(topology, vec)
-        for state, p in enumerate(exact.probs):
-            image = 0
-            for i in range(n):
-                if state >> i & 1:
-                    image |= 1 << perm[i]
-            worst = max(worst, abs(p - exact.probs[image]))
+    for axis in range(topology.dimension):
+        vec = tuple(int(a == axis) for a in range(topology.dimension))
+        # bit perm[i] of a state's image is bit i of the state
+        inverse = np.argsort(translate_permutation(topology, vec))
+        image = _pack(states, inverse)
+        worst = max(worst, float(np.abs(probs - probs[image]).max()))
     return worst
 
 

@@ -10,8 +10,8 @@ check and the coupled experiments.
 from collections import defaultdict
 
 from .engine import ForestFireEngine
-from .errors import InvalidParameterError
-from .lattice import Topology, all_vacant, bernoulli_config
+from .errors import CapacityError, InvalidParameterError
+from .lattice import MAX_BANK_SITES, Topology, all_vacant, bernoulli_config
 from .measure import canonical_window, measure_from_snapshots, window_pattern
 from .rng import make_rng
 
@@ -25,6 +25,10 @@ class SnapshotBank:
             raise InvalidParameterError("need at least one snapshot")
         if spacing <= 0:
             raise InvalidParameterError("snapshot spacing must be positive")
+        if n_snapshots * topology.n_sites > MAX_BANK_SITES:
+            raise CapacityError(
+                f"{n_snapshots} snapshots of {topology.n_sites} sites exceed "
+                f"{MAX_BANK_SITES} site-snapshots")
         self.topology = topology
         self.mode = "stationary-bank"
         engine = ForestFireEngine(topology, lam, make_rng(seed, *stream),

@@ -129,7 +129,7 @@ class TestBlurGeometry:
         topo = build_topology(2, k, mode)
         S = idx(topo, *box_coords(2, r))
         geometry = blur_geometry(topo, S)
-        assert set(geometry.probe) <= geometry.closure
+        assert set(geometry.probe) <= geometry.S
         rng = make_rng(23, k, r)
         for rep in range(60):
             cfg = [int(u < rep / 60) for u in rng.random(topo.n_sites)]

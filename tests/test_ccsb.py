@@ -1,7 +1,8 @@
 import pytest
 
 from ffp_lab.ccsb import CcsbQuery, ccsb_check, cluster_size_tail
-from ffp_lab.errors import InvalidParameterError
+from ffp_lab import sampling
+from ffp_lab.errors import CapacityError, InvalidParameterError
 from ffp_lab.lattice import TORUS, build_topology
 from ffp_lab.sampling import (BernoulliSampler, SnapshotBank, VacantSampler)
 
@@ -103,3 +104,17 @@ class TestTail:
         topo = torus()
         rep = cluster_size_tail(VacantSampler(topo), topo, (0, 0), [0], 10)
         assert rep.sampler_mode == "vacant"
+
+
+class TestBank:
+    def test_over_the_bound_is_refused_before_any_engine(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(sampling, "ForestFireEngine", refuse)
+        monkeypatch.setattr(sampling, "MAX_BANK_SITES", 25 * 10)
+        topo = torus()                          # 25 sites
+        with pytest.raises(CapacityError, match="site-snapshots"):
+            SnapshotBank(topo, 1.0, 11, 1.0, 5.0, seed=0)
+        with pytest.raises(AssertionError):     # at the bound it is built
+            SnapshotBank(topo, 1.0, 10, 1.0, 5.0, seed=0)

@@ -248,6 +248,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("capacity error: ") and "Traceback" not in err
 
+    def test_bank_over_the_bound_exits_3(self, tmp_path, monkeypatch,
+                                         capsys):
+        from ffp_lab import sampling
+
+        def refuse(*args):
+            raise AssertionError("an over-bound bank ran an engine")
+
+        monkeypatch.setattr(sampling, "ForestFireEngine", refuse)
+        # the window bank of COUPLE holds 60 snapshots of 81 sites
+        monkeypatch.setattr(sampling, "MAX_BANK_SITES", 60 * 81 - 1)
+        path = write_manifest(tmp_path, COUPLE)
+        assert main(["couple", "--manifest", str(path), "--jobs", "1",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and "site-snapshots" in err
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]",
                                       '{"manifest": 5}'],
                              ids=["invalid-json", "not-an-object",

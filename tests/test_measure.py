@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from ffp_lab.engine import Event, ForestFireEngine
 from ffp_lab.errors import (CapacityError, InvalidParameterError,
                             WindowMismatchError)
 from ffp_lab.lattice import (TORUS, WINDOW, build_topology, check_box_cap,
-                             explicit_topology)
+                             explicit_topology, translate_permutation)
 from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure, ExactDistribution,
                              MaximalCoupling, canonical_window,
                              estimate_marginal, exact_stationary,
@@ -85,10 +86,78 @@ def periodic_grid(rows, cols):
     return explicit_topology(rows * cols, sorted(edges))
 
 
+def loop_generator(topology, lam):
+    """Reference generator, one state and one cluster at a time: rate 1
+    growth at each vacant site, and each occupied cluster of c sites
+    burns down at rate lam*c."""
+    n = topology.n_sites
+    n_states = 1 << n
+    nb_mask = [0] * n
+    for i, nbs in enumerate(topology.adjacency):
+        m = 0
+        for j in nbs:
+            m |= 1 << j
+        nb_mask[i] = m
+
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n_states)
+
+    def add(s, t, rate):
+        rows.append(s)
+        cols.append(t)
+        vals.append(rate)
+        diag[s] -= rate
+
+    for s in range(n_states):
+        for i in range(n):
+            if not s >> i & 1:
+                add(s, s | (1 << i), 1.0)
+        # occupied components: each site ignition empties its component
+        seen = 0
+        for i in range(n):
+            bit = 1 << i
+            if s & bit and not seen & bit:
+                comp = bit
+                frontier = bit
+                while frontier:
+                    grow = 0
+                    f = frontier
+                    while f:
+                        j = (f & -f).bit_length() - 1
+                        f &= f - 1
+                        grow |= nb_mask[j] & s & ~comp
+                    comp |= grow
+                    frontier = grow
+                seen |= comp
+                add(s, s & ~comp, lam * comp.bit_count())
+
+    rows.extend(range(n_states))
+    cols.extend(range(n_states))
+    vals.extend(diag)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_states, n_states))
+
+
+@st.composite
+def small_graphs(draw):
+    """Random simple graphs on 1 to 10 sites."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return explicit_topology(n, sorted(edges))
+
+
+def assert_same_generator(topology, lam):
+    Q = measure._build_generator(topology, lam)
+    ref = loop_generator(topology, lam)
+    assert Q.nnz == ref.nnz, (topology.n_sites, lam)
+    assert abs(Q - ref).max() <= 1e-12, (topology.n_sites, lam)
+
+
 def lu_stationary(topology, lam):
     """Oracle for small graphs: sparse LU solve of pi Q = 0 with the first
-    balance equation replaced by the normalisation sum(pi) = 1."""
-    Q = measure._build_generator(topology, lam)
+    balance equation replaced by the normalisation sum(pi) = 1, on the
+    reference generator."""
+    Q = loop_generator(topology, lam)
     A = Q.T.tolil()
     A[0, :] = 1.0
     b = np.zeros(Q.shape[0])
@@ -122,6 +191,21 @@ class TestExactOracles:
                 assert diff <= 1e-12, (topo.n_sites, lam, diff)
                 assert ex.solver_iterations >= 1
 
+    def test_generator_matches_loop_reference(self):
+        graphs = [explicit_topology(1, []), explicit_topology(2, [(0, 1)]),
+                  build_topology(1, 1, TORUS), build_topology(2, 1, TORUS),
+                  build_topology(2, 1, WINDOW), periodic_grid(2, 5),
+                  periodic_grid(3, 4)]
+        for topo in graphs:
+            for lam in (0.01, 1.0, 20.0):
+                assert_same_generator(topo, lam)
+
+    @given(small_graphs(), st.sampled_from([0.01, 1.0, 20.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_generator_matches_loop_reference_on_random_graphs(self, topo,
+                                                                lam):
+        assert_same_generator(topo, lam)
+
     def test_sixteen_site_grid(self):
         ex = exact_stationary(periodic_grid(4, 4), 1.0)
         assert ex.probs.size == 1 << 16
@@ -154,6 +238,38 @@ class TestExactOracles:
         topo = build_topology(2, 1, TORUS)
         ex = exact_stationary(topo, 1.0)
         assert translation_invariance_defect(ex) < 1e-10
+
+    def test_marginal_and_defect_match_loop_references(self):
+        topo = build_topology(2, 1, TORUS)
+        n = topo.n_sites
+        images = []         # images[axis][state]: the state moved one step
+        for axis in range(2):
+            perm = translate_permutation(topo, (int(axis == 0), int(axis == 1)))
+            images.append([sum(1 << perm[i] for i in range(n) if s >> i & 1)
+                           for s in range(1 << n)])
+        window = [(1, 0), (0, 0), (-1, 1), (0, -1)]
+        bits = [topo.index_of[c] for c in canonical_window(topo, window)]
+        for flat in range(2):
+            # random, yet invariant along axis `flat` only
+            img = np.array(images[flat])
+            probs = make_rng(11, flat).random(1 << n)
+            probs = probs + probs[img] + probs[img[img]]
+            probs /= probs.sum()
+            ex = ExactDistribution(topo, 1.0, probs, 0.0, 0)
+            marg = {}
+            for state, p in enumerate(probs):
+                code = sum(1 << j for j, site in enumerate(bits)
+                           if state >> site & 1)
+                marg[code] = marg.get(code, 0.0) + p
+            defect = max(abs(probs[s] - probs[image[s]])
+                         for image in images for s in range(1 << n))
+            got = ex.marginal(window)
+            assert got.keys() == marg.keys() and len(got) == 16
+            for code, p in marg.items():
+                assert got[code] == pytest.approx(p, abs=1e-15)
+            assert defect > 1e-3
+            assert translation_invariance_defect(ex) == pytest.approx(
+                defect, abs=1e-15)
 
     def test_marginal_consistent_with_density(self):
         topo = build_topology(1, 1, TORUS)
