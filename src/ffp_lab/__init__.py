@@ -17,7 +17,7 @@ from .engine import (GROWTH, IGNITION, Event, ForestFireEngine,
                      TrajectoryRecorder)
 from .errors import (CapacityError, EventOrderError, FfpError,
                      InvalidParameterError, InvalidSiteError,
-                     InvalidStateError, WindowMismatchError)
+                     WindowMismatchError)
 from .lattice import (EXPLICIT, TORUS, WINDOW, Topology, box_coords,
                       build_topology, cluster_of, cluster_union,
                       explicit_topology, read_edge_list, site_boundary)
@@ -28,6 +28,7 @@ from .measure import (CylinderEvent, EmpiricalMeasure, ExactDistribution,
                       mu_convergence_scan, stationarity_check,
                       total_variation, total_variation_ci,
                       translation_invariance_defect)
+from .parallel import run_chunked
 from .rng import make_rng
 from .sampling import (BernoulliSampler, ReplicaSampler, SnapshotBank,
                        VacantSampler, make_init_sampler)

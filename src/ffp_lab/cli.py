@@ -6,10 +6,10 @@ Usage:
 
 Kinds: simulate, stationary, exact, blur-decay, ccsb, couple, mu-scan.
 Exit codes: 0 success, 2 validation or other package error, 3 capacity
-error: a lattice over lattice.MAX_SITE_COORDS sites x d or a snapshot
-bank over lattice.MAX_BANK_SITES site-snapshots (both set from measured
-bytes per site), exact over 16 sites, or a solve that does not converge.
-The env var FFP_LAB_JOBS provides the default parallelism.
+error: a lattice over lattice.MAX_SITE_COORDS sites x d, a snapshot bank
+over lattice.MAX_BANK_SITES site-snapshots (both set from measured bytes
+per site) or a window over lattice.MAX_WINDOW_SITES sites, all refused
+at validation; exact over 16 sites, or a solve that does not converge.
 
 All tables are CSV with a fixed float representation, so a manifest and
 seed fully determine the output bytes, independent of --jobs.
@@ -34,13 +34,12 @@ from .ccsb import CcsbQuery, ccsb_check, cluster_size_tail
 from .coupling import CoupleParams, CylinderEvent, lemma1_experiment
 from .engine import ForestFireEngine, TrajectoryRecorder
 from .errors import CapacityError, FfpError, InvalidParameterError
-from .lattice import (build_topology, check_box_cap, config_to_string,
-                      read_edge_list)
+from .lattice import (MAX_WINDOW_SITES, build_topology, check_bank_cap,
+                      check_box_cap, config_to_string, read_edge_list)
 from .measure import (SiteDensityObserver, default_burn_in, estimate_marginal,
                       mu_convergence_scan, pattern_bitstring)
-from .parallel import default_jobs
 from .rng import make_rng
-from .sampling import make_init_sampler
+from .sampling import DEFAULT_SNAPSHOTS, make_init_sampler
 
 
 class ManifestError(InvalidParameterError):
@@ -346,7 +345,8 @@ def _run_mu_scan(m, out, jobs):
 # One spec per kind
 
 # fields: name -> Field; box: the (d, radius) of the largest box the run
-# builds, or None for an edge file, read once the fields are valid;
+# builds and the snapshot count of the bank on it (0 without one), or
+# None for an edge file, read once the fields are valid;
 # rules: cross-field checks run after the fields and the box;
 # tables: file name -> column names, where a "{}" name holds one table per
 # key of its rows; summary: (table, row cap, run_info line format);
@@ -357,8 +357,16 @@ _Kind = namedtuple("Kind", "fields box rules tables summary run sidecar",
 _MEASURE = "pattern weight probability stderr"
 
 
+def _snapshots(m):
+    """Snapshots of the bank that the init or sampler of m builds, if any."""
+    spec = m.get("init", m.get("sampler", {}))
+    spec = spec.get("init", {}) if spec.get("kind") == "replica" else spec
+    return (spec.get("snapshots", DEFAULT_SNAPSHOTS)
+            if spec.get("kind") == "stationary" else 0)
+
+
 def _grid_box(m):
-    return None if "edge_file" in m else (m["d"], m["k"])
+    return None if "edge_file" in m else (m["d"], m["k"], _snapshots(m))
 
 
 _EVENTS = "attempted events: {events}  effective: {effective}"
@@ -395,7 +403,8 @@ _KINDS = {
          "replicas": _int(0),
          "init": _Field(_INIT, default={"kind": "stationary"})},
         lambda m: (m["d"],
-                   m["r_I"] + max(m["L_list"], default=0) + m["margin"]),
+                   m["r_I"] + max(m["L_list"], default=0) + m["margin"],
+                   _snapshots(m)),
         (_origin_x, _resolve_times),
         {"blur_decay.csv": "L t flagged replicas p_hat ci_low ci_high"},
         ("blur_decay.csv", 40, ""), _run_blur_decay),
@@ -419,7 +428,7 @@ _KINDS = {
          "bank_snapshots": _int(1, 800),
          "bank_spacing": _HORIZON._replace(default=1.0),
          "bank_burn_in": _Field(_time, _TIME, 30.0)},
-        lambda m: (m["d"], m["K"]), (_couple_geometry,),
+        lambda m: (m["d"], m["K"], m["bank_snapshots"]), (_couple_geometry,),
         {"records.csv": "replica initial_J_equal agree_on_I any_I_blurred "
                         "in_A_window in_A_torus",
          "lemma1.csv": "lhs blur_term tv_term pooled_se verdict tv eq_freq "
@@ -432,7 +441,7 @@ _KINDS = {
          "k_list": _Field(_list_of(_at_least(1)),
                           "a non-empty list of integers >= 1"),
          "horizon": _HORIZON, "burn_in": _MAYBE_BURN_IN},
-        lambda m: (m["d"], max(m["k_list"])), (_horizon_after_burn_in,),
+        lambda m: (m["d"], max(m["k_list"]), 0), (_horizon_after_burn_in,),
         {"mu_scan.csv": "k_low k_high tv ci_low ci_high",
          "marginal_k{}.csv": _MEASURE},
         ("mu_scan.csv", 40, ""), _run_mu_scan),
@@ -445,8 +454,8 @@ KINDS = tuple(_KINDS)
 
 def validate_manifest(manifest: dict, kind: str = None) -> dict:
     """Validate and fill defaults; raises ManifestError listing every
-    violation found, or CapacityError when the run's largest box is over
-    the lattice bound, before any d-long default is filled."""
+    violation found, or CapacityError for a box, bank or window over its
+    bound, before any lattice is built or d-long default is filled."""
     manifest = dict(manifest)
     mkind = manifest.get("kind", kind)
     if mkind is None:
@@ -461,7 +470,12 @@ def validate_manifest(manifest: dict, kind: str = None) -> dict:
     _walk(manifest, spec.fields, problems)
     box = not problems and spec.box(manifest)
     if box:
-        check_box_cap(box[0], 2 * box[1] + 1)
+        d, radius, snapshots = box
+        check_box_cap(d, 2 * radius + 1)
+        check_bank_cap(snapshots, (2 * radius + 1) ** d)
+    window = not problems and {tuple(c) for c in manifest.get("window", ())}
+    if window and len(window) > MAX_WINDOW_SITES:
+        raise CapacityError(f"window larger than {MAX_WINDOW_SITES} sites")
     for rule in spec.rules:
         rule(manifest, problems)
     if problems:
@@ -561,7 +575,7 @@ def build_parser():
         p = sub.add_parser(kind)
         p.add_argument("--manifest", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", default=None)
     s = sub.add_parser("summarize")
     s.add_argument("out_dir")
@@ -578,9 +592,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             manifest["seed"] = args.seed
             manifest = validate_manifest(manifest, args.command)
-        jobs = args.jobs if args.jobs is not None else default_jobs()
         out = args.out or manifest.get("out") or f"ffp-out-{args.command}"
-        run_experiment(manifest, out, jobs)
+        run_experiment(manifest, out, args.jobs)
     except ManifestError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)

@@ -19,13 +19,11 @@ remove whole clusters, so a burn can simply reset the parent pointers
 of the retired members; no fully dynamic connectivity structure is
 needed.
 
-``run_until`` drives two kinds of callbacks.  Observers follow state
-changes, through two methods that are each optional: ``accumulate(engine,
-dt)``, called once per stretch between state changes (with
-``engine.clock`` at the start of the stretch) and once for the final
-partial stretch, and ``on_event(engine, changed)``, right after each
-effective event, with ``engine.clock`` at its time and the stretch
-ending there already accumulated.  No-op attempts cost an
+``run_until`` drives two kinds of callbacks.  Observers see state
+changes only: ``on_event(engine, changed)`` right after each effective
+event, with ``engine.clock`` at its time, and ``accumulate(engine, dt)``
+once per call, with ``engine.clock`` at the horizon and dt the time the
+call covered; each method is optional, and no-op attempts cost an
 observer nothing.  Listeners see every attempt:
 ``on_event(engine, event, changed)``, where ``changed`` is empty for a
 no-op.
@@ -33,8 +31,7 @@ no-op.
 
 from typing import NamedTuple
 
-from .errors import (EventOrderError, InvalidParameterError, InvalidSiteError,
-                     InvalidStateError)
+from .errors import EventOrderError, InvalidParameterError, InvalidSiteError
 from .lattice import Topology
 
 GROWTH = "growth"
@@ -98,12 +95,14 @@ class ForestFireEngine:
         self.rng = rng
         self.clock = 0.0
         n = topology.n_sites
+        if n == 0:
+            raise InvalidParameterError("topology has no sites")
         self.occ = [0] * n if init_config is None else [int(v) for v in init_config]
         if len(self.occ) != n:
             raise InvalidParameterError("initial configuration length mismatch")
         self.counts = {GROWTH: 0, IGNITION: 0}
         self.effective = {GROWTH: 0, "burn": 0}
-        self._sampler = _EventSampler(rng, n, self.lam) if n else None
+        self._sampler = _EventSampler(rng, n, self.lam)
 
         # Members lists live at roots.  A labelled site points at a lower
         # root, so an occupied r with parent[r] == r starts a new cluster.
@@ -173,8 +172,6 @@ class ForestFireEngine:
 
     def next_event(self) -> Event:
         """Sample the next event and advance the clock to it."""
-        if self._sampler is None:
-            raise InvalidStateError("engine has no sites")
         dt, site, kind = self._sampler.draw()
         self.clock += dt
         return Event(self.clock, site, kind)
@@ -205,11 +202,10 @@ class ForestFireEngine:
     def run_until(self, T, observers=(), listeners=()):
         """Advance the trajectory to time T.
 
-        Observers get, for the methods they define, ``accumulate(engine,
-        dt)`` once per stretch of constant state, with the exact holding
-        time, including the final partial stretch to T, and
-        ``on_event(engine, changed)`` after each effective event only,
-        once the stretch ending at it is accumulated.  Listeners get
+        Observers get ``on_event(engine, changed)`` after each effective
+        event only, and ``accumulate(engine, dt)`` once, when the clock
+        has reached T, with dt = T minus the clock at the call; each
+        method is optional.  Listeners get
         ``on_event(engine, event, changed)`` after every attempt,
         no-ops included.  The event sampled past T is drawn and
         discarded, which is exact by memorylessness of the exponential
@@ -218,21 +214,19 @@ class ForestFireEngine:
         """
         if T < self.clock:
             raise InvalidParameterError("horizon lies in the past")
-        accumulators = [ob.accumulate for ob in observers if hasattr(ob, "accumulate")]
+        closers = [ob.accumulate for ob in observers if hasattr(ob, "accumulate")]
         if T == self.clock:
-            for acc in accumulators:
+            for acc in closers:
                 acc(self, 0.0)
             return self
         sampler = self._sampler
-        if sampler is None:
-            raise InvalidStateError("engine has no sites")
         changers = [ob.on_event for ob in observers if hasattr(ob, "on_event")]
         occ, occupy, burn = self.occ, self._occupy, self._burn
         p_growth = sampler.p_growth
         i = sampler.i
         if i < _CHUNK:
             dts, sites, us = sampler.dt, sampler.site, sampler.u
-        clock = t_change = self.clock   # t_change: start of the current stretch
+        clock = start = self.clock
         drawn = -i                      # drawn + i: draws taken in this call
         growths = grown = burnt = 0
         try:
@@ -246,20 +240,13 @@ class ForestFireEngine:
                 if t_next > T:
                     i += 1
                     drawn -= 1          # the discarded draw is no attempt
-                    if accumulators:
-                        self.clock = t_change
-                        for acc in accumulators:
-                            acc(self, T - t_change)
-                    clock = T
+                    clock = self.clock = T
+                    for acc in closers:
+                        acc(self, T - start)
                     return self
                 site = sites[i]
                 growth = us[i] < p_growth
                 effective = not occ[site] if growth else occ[site]
-                if effective and accumulators:
-                    self.clock = t_change
-                    for acc in accumulators:
-                        acc(self, t_next - t_change)
-                    t_change = t_next
                 i += 1
                 growths += growth
                 clock = t_next

@@ -13,10 +13,6 @@ class InvalidSiteError(FfpError, LookupError):
     """A site index or coordinate does not belong to the topology."""
 
 
-class InvalidStateError(FfpError):
-    """An operation was requested in a state where it is undefined."""
-
-
 class CapacityError(FfpError):
     """Problem size exceeds a configured cap (state space, window size...)."""
 

@@ -32,6 +32,8 @@ MAX_SITE_COORDS = 10**6
 # Largest snapshot bank, as snapshots x sites: a snapshot keeps 8.2 B per
 # site, so a full bank holds about 250 MB, no more than the largest lattice.
 MAX_BANK_SITES = 3 * 10**7
+# Largest window of a pattern measure, which keys up to 2^sites codes.
+MAX_WINDOW_SITES = 20
 
 
 def check_box_cap(d: int, side: int, cap: int = None) -> None:
@@ -48,6 +50,13 @@ def check_box_cap(d: int, side: int, cap: int = None) -> None:
         raise CapacityError(f"{side}^{d} sites exceed " + (
             f"{MAX_SITE_COORDS} sites x dimension" if cap is None
             else f"the {cap}-site cap"))
+
+
+def check_bank_cap(snapshots: int, sites: int) -> None:
+    """Raise CapacityError over MAX_BANK_SITES site-snapshots."""
+    if snapshots * sites > MAX_BANK_SITES:
+        raise CapacityError(f"{snapshots} snapshots of {sites} sites exceed "
+                            f"{MAX_BANK_SITES} site-snapshots")
 
 
 def box_coords(d: int, k: int) -> list[Coord]:

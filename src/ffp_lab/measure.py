@@ -17,12 +17,12 @@ import numpy as np
 from .engine import ForestFireEngine
 from .errors import (CapacityError, InvalidParameterError,
                      WindowMismatchError)
-from .lattice import Coord, Topology, check_box_cap, translate_permutation
+from .lattice import (MAX_WINDOW_SITES, Coord, Topology, build_topology,
+                      check_box_cap, translate_permutation)
 from .rng import make_rng
 from .stats import paired_se
 
 DEFAULT_STATE_CAP = 16
-MAX_WINDOW_SITES = 20
 BALANCE_TOL = 1e-10       # accepted max|pi Q| of an exact solve
 GMRES_RESTART = 50
 GMRES_MAX_RESTARTS = 20   # converged solves need under one restart cycle
@@ -63,11 +63,6 @@ class CylinderEvent:
 
     window: tuple[Coord, ...]
     accept: frozenset
-
-    def __post_init__(self):
-        if len(self.window) > MAX_WINDOW_SITES:
-            raise CapacityError(
-                f"cylinder window larger than {MAX_WINDOW_SITES} sites")
 
     @classmethod
     def site_occupied(cls, coord: Coord):
@@ -162,12 +157,12 @@ class _TimeBatches:
     An active key keeps an "active since" stamp (Newman & Ziff, PRE 64,
     016706, 2001) and is credited to the current batch when it stops
     and, with every active key, at each batch edge, so an event costs
-    O(keys it starts or stops).  ``_t`` is the time ``accumulate`` last
-    reached, held at t_end; ``on_event`` takes it as the event time, as
-    the engine accumulates the stretch ending at an event first.  Row 0
-    takes the time before t_start and is not read out.  Batch times come
-    from the edges, ``_t`` and the observation start ``_t0``, so the
-    split does not depend on where stretches are cut.
+    O(keys it starts or stops).  ``_t`` is the engine clock last seen,
+    held at t_end: ``on_event`` advances it to each state change and
+    ``accumulate``, called once per run, to the run's end.  Row 0 takes
+    the time before t_start and is not read out.  Batch times come from
+    the edges, ``_t`` and the observation start ``_t0``, so the split
+    does not depend on where the clock was read.
     """
 
     def __init__(self, engine, t_start, t_end, n_batches, active):
@@ -204,12 +199,15 @@ class _TimeBatches:
             rows.append(self._row)
             self._hi = edges[len(rows) - 1]
 
-    def accumulate(self, engine, dt):
-        t = engine.clock + dt
+    def _advance(self, t):
+        """Move to engine time t, closing every batch that ends before it."""
         if t > self._hi:
             self._cross(t)
             t = min(t, self.t_end)
         self._t = t
+
+    def accumulate(self, engine, dt):
+        self._advance(engine.clock)
 
     def measure(self) -> EmpiricalMeasure:
         """Credited time per key over the observed time; the batches
@@ -244,6 +242,7 @@ class MarginalObserver(_TimeBatches):
     accumulate = _TimeBatches.accumulate
 
     def on_event(self, engine, changed):
+        self._advance(engine.clock)
         code, bit_of = self.code, self.bit_of
         for site in changed:
             bit = bit_of.get(site)
@@ -270,6 +269,7 @@ class SiteDensityObserver(_TimeBatches):
     accumulate = _TimeBatches.accumulate
 
     def on_event(self, engine, changed):
+        self._advance(engine.clock)
         t, occ, since, row = self._t, engine.occ, self.since, self._row
         for i in changed:
             if occ[i]:
@@ -552,10 +552,7 @@ def mu_convergence_scan(d, lam, window, k_list, burn_in, horizon, seed,
     Reports Cauchy-style diagnostics only; no convergence rate is
     claimed.
     """
-    from .lattice import build_topology
     window = tuple(sorted(tuple(c) for c in window))
-    if len(window) > MAX_WINDOW_SITES:
-        raise CapacityError(f"window larger than {MAX_WINDOW_SITES} sites")
     max_rad = max(max(abs(ci) for ci in c) for c in window)
     k_list = sorted(k_list)
     if min(k_list) <= max_rad:

@@ -9,20 +9,6 @@ scheduling order.
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import InvalidParameterError
-
-ENV_JOBS = "FFP_LAB_JOBS"
-
-
-def default_jobs() -> int:
-    raw = os.environ.get(ENV_JOBS)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidParameterError(f"{ENV_JOBS} must be an integer") from None
-
 
 def chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
     parts = max(1, min(parts, n))

@@ -10,10 +10,12 @@ check and the coupled experiments.
 from collections import defaultdict
 
 from .engine import ForestFireEngine
-from .errors import CapacityError, InvalidParameterError
-from .lattice import MAX_BANK_SITES, Topology, all_vacant, bernoulli_config
+from .errors import InvalidParameterError
+from .lattice import Topology, all_vacant, bernoulli_config, check_bank_cap
 from .measure import canonical_window, measure_from_snapshots, window_pattern
 from .rng import make_rng
+
+DEFAULT_SNAPSHOTS = 1000
 
 
 class SnapshotBank:
@@ -25,10 +27,7 @@ class SnapshotBank:
             raise InvalidParameterError("need at least one snapshot")
         if spacing <= 0:
             raise InvalidParameterError("snapshot spacing must be positive")
-        if n_snapshots * topology.n_sites > MAX_BANK_SITES:
-            raise CapacityError(
-                f"{n_snapshots} snapshots of {topology.n_sites} sites exceed "
-                f"{MAX_BANK_SITES} site-snapshots")
+        check_bank_cap(n_snapshots, topology.n_sites)
         self.topology = topology
         self.mode = "stationary-bank"
         engine = ForestFireEngine(topology, lam, make_rng(seed, *stream),
@@ -38,9 +37,6 @@ class SnapshotBank:
         for i in range(n_snapshots):
             engine.run_until(burn_in + (i + 1) * spacing)
             self.configs.append(engine.snapshot())
-
-    def __len__(self):
-        return len(self.configs)
 
     def sample(self, rng):
         return self.configs[int(rng.integers(len(self.configs)))]
@@ -128,7 +124,7 @@ def make_init_sampler(topology: Topology, lam, spec: dict, seed, stream=(5,)):
         return BernoulliSampler(topology, float(spec.get("p", 0.5)))
     if kind == "stationary":
         return SnapshotBank(topology, lam,
-                            int(spec.get("snapshots", 1000)),
+                            int(spec.get("snapshots", DEFAULT_SNAPSHOTS)),
                             float(spec.get("spacing", 2.0)),
                             float(spec.get("burn_in", 10.0 * topology.n_sites)),
                             seed, stream=stream)

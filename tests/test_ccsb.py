@@ -1,7 +1,7 @@
 import pytest
 
 from ffp_lab.ccsb import CcsbQuery, ccsb_check, cluster_size_tail
-from ffp_lab import sampling
+from ffp_lab import lattice, sampling
 from ffp_lab.errors import CapacityError, InvalidParameterError
 from ffp_lab.lattice import TORUS, build_topology
 from ffp_lab.sampling import (BernoulliSampler, SnapshotBank, VacantSampler)
@@ -112,7 +112,7 @@ class TestBank:
             raise AssertionError("an engine was built")
 
         monkeypatch.setattr(sampling, "ForestFireEngine", refuse)
-        monkeypatch.setattr(sampling, "MAX_BANK_SITES", 25 * 10)
+        monkeypatch.setattr(lattice, "MAX_BANK_SITES", 25 * 10)
         topo = torus()                          # 25 sites
         with pytest.raises(CapacityError, match="site-snapshots"):
             SnapshotBank(topo, 1.0, 11, 1.0, 5.0, seed=0)

@@ -250,19 +250,50 @@ class TestExitCodes:
 
     def test_bank_over_the_bound_exits_3(self, tmp_path, monkeypatch,
                                          capsys):
-        from ffp_lab import sampling
+        from ffp_lab import lattice, sampling
 
         def refuse(*args):
-            raise AssertionError("an over-bound bank ran an engine")
+            raise AssertionError("a lattice or a bank was built")
 
-        monkeypatch.setattr(sampling, "ForestFireEngine", refuse)
-        # the window bank of COUPLE holds 60 snapshots of 81 sites
-        monkeypatch.setattr(sampling, "MAX_BANK_SITES", 60 * 81 - 1)
-        path = write_manifest(tmp_path, COUPLE)
-        assert main(["couple", "--manifest", str(path), "--jobs", "1",
+        for owner, name in ((sampling, "ForestFireEngine"),
+                            (lattice, "box_coords"),
+                            (lattice, "explicit_topology")):
+            monkeypatch.setattr(owner, name, refuse)
+        stationary = {"kind": "stationary", "snapshots": 10}
+        # each manifest with the site-snapshots of its largest bank
+        for m, bank in ((COUPLE, 60 * 81),     # the K = 4 window bank
+                        (dict(BLUR, init={"kind": "stationary"}), 1000 * 25),
+                        (dict(CCSB, sampler={"kind": "replica",
+                                             "init": stationary}), 10 * 9),
+                        (dict(SIM, init=stationary), 10 * 9)):
+            monkeypatch.setattr(lattice, "MAX_BANK_SITES", bank)
+            validate_manifest(m)                # at the bound it passes
+            monkeypatch.setattr(lattice, "MAX_BANK_SITES", bank - 1)
+            path = write_manifest(tmp_path, m)
+            assert main([m["kind"], "--manifest", str(path),
+                         "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("capacity error: ")
+            assert "site-snapshots" in err
+
+    @pytest.mark.parametrize("manifest", [
+        # the default 800 snapshots of the 491,401-site window
+        {k: v for k, v in dict(COUPLE, K=350, k=3).items()
+         if k != "bank_snapshots"},
+        dict(STAT, k=2, window=[list(c) for c in itertools.product(
+            range(-2, 3), repeat=2)][:21]),
+        dict(MU_SCAN, window=[[i] for i in range(-10, 11)], k_list=[11, 12])],
+        ids=["couple-bank", "stationary-window", "mu-scan-window"])
+    def test_refused_at_validation_before_any_topology(
+            self, tmp_path, monkeypatch, capsys, manifest):
+        sizes = self.built_sizes(monkeypatch)
+        with pytest.raises(CapacityError):
+            validate_manifest(manifest)
+        path = write_manifest(tmp_path, manifest)
+        assert main([manifest["kind"], "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("capacity error: ") and "site-snapshots" in err
+        assert capsys.readouterr().err.startswith("capacity error: ")
+        assert sizes == []
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]",
                                       '{"manifest": 5}'],
@@ -451,16 +482,11 @@ def test_mutated_manifest_exits_cleanly(data):
     assert "Traceback" not in err.getvalue()
 
 
-def test_env_jobs_parsing(monkeypatch):
-    from ffp_lab.errors import InvalidParameterError
-    from ffp_lab.parallel import ENV_JOBS, default_jobs
-    monkeypatch.delenv(ENV_JOBS, raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv(ENV_JOBS, "4")
-    assert default_jobs() == 4
-    monkeypatch.setenv(ENV_JOBS, "lots")
-    with pytest.raises(InvalidParameterError):
-        default_jobs()
+def test_jobs_defaults_to_one_whatever_the_environment(monkeypatch):
+    from ffp_lab.cli import build_parser
+    monkeypatch.setenv("FFP_LAB_JOBS", "lots")
+    args = build_parser().parse_args(["exact", "--manifest", "m.json"])
+    assert args.jobs == 1
 
 
 def test_pool_size_bounded_by_chunks_and_cpus(monkeypatch):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from ffp_lab.engine import (GROWTH, IGNITION, Event, ForestFireEngine,
                             TrajectoryRecorder)
 from ffp_lab.errors import EventOrderError, InvalidParameterError
-from ffp_lab.lattice import (TORUS, WINDOW, build_topology, cluster_of,
-                             explicit_topology)
+from ffp_lab.lattice import (EXPLICIT, TORUS, WINDOW, Topology,
+                             build_topology, cluster_of, explicit_topology)
 from ffp_lab.rng import make_rng
 
 
@@ -54,6 +54,11 @@ class TestRules:
         topo = build_topology(2, 1, TORUS)
         with pytest.raises(InvalidParameterError):
             ForestFireEngine(topo, 0.0, make_rng(0))
+
+    def test_empty_topology_refused(self):
+        with pytest.raises(InvalidParameterError, match="no sites"):
+            ForestFireEngine(Topology(1, None, EXPLICIT, [], []), 1.0,
+                             make_rng(0))
 
 
 class TestClusterIndex:
@@ -222,10 +227,11 @@ class TestStreamPreserved:
 
     def test_observer_does_not_change_stream(self):
         class Counter:
-            stretches = changes = 0
+            calls = changes = 0
 
             def accumulate(self, engine, dt):
-                self.stretches += 1
+                assert engine.clock == 4.0 and dt == 4.0
+                self.calls += 1
 
             def on_event(self, engine, changed):
                 assert changed
@@ -238,7 +244,7 @@ class TestStreamPreserved:
         assert self.finish(a) == self.finish(b)
         effective = sum(b.effective.values())
         assert ob.changes == effective
-        assert ob.stretches == effective + 1
+        assert ob.calls == 1            # once per run_until
 
     def test_observer_with_only_on_event(self):
         class Changes:
