@@ -36,8 +36,9 @@ from .engine import ForestFireEngine, TrajectoryRecorder
 from .errors import CapacityError, FfpError, InvalidParameterError
 from .lattice import (MAX_WINDOW_SITES, build_topology, check_bank_cap,
                       check_box_cap, config_to_string, read_edge_list)
-from .measure import (SiteDensityObserver, default_burn_in, estimate_marginal,
-                      mu_convergence_scan, pattern_bitstring)
+from .measure import (DEFAULT_BATCHES, SiteDensityObserver, default_burn_in,
+                      estimate_marginal, mu_convergence_scan,
+                      pattern_bitstring)
 from .rng import make_rng
 from .sampling import DEFAULT_SNAPSHOTS, make_init_sampler
 
@@ -102,8 +103,8 @@ def _epsilon(value, m=None):
     """An epsilon_for spec: optional integers m, d_G >= 1 and safety."""
     if not isinstance(value, dict):
         return False
-    safety = value.get("safety", 1)
-    return (all(_at_least(1)(value.get(key, 1)) for key in ("m", "d_G"))
+    *counts, safety = (value.get(k, v) for k, v in _EPS_DEFAULTS.items())
+    return (all(_at_least(1)(c) for c in counts)
             and _is_num(safety) and 0 < safety <= 1)
 
 
@@ -119,6 +120,7 @@ _HORIZON = _Field(_positive, "finite and positive")
 _COUNTS = _Field(_list_of(_at_least(0), True), "a list of integers >= 0")
 _X = _Field(_coord, "an integer coordinate of length d")
 _SITES = _Field(_list_of(_coord, True), _COORDS, [])
+_EPS_DEFAULTS = {"m": 1, "d_G": 6, "safety": 0.5}   # epsilon_for's arguments
 _EPS = _Field(_epsilon, "an object with integers m, d_G >= 1 and safety in "
               "(0, 1]", _OPTIONAL)
 _PATH = _Field(lambda v, m: isinstance(v, str), "a path", _OPTIONAL)
@@ -198,8 +200,8 @@ def _resolve_times(m, problems):
         eps = m["epsilon"]
         if not _epsilon(eps):
             return False
-        m["t_list"] = [epsilon_for(eps.get("m", 1), eps.get("d_G", 6),
-                                   eps.get("safety", 0.5))]
+        m["t_list"] = [epsilon_for(*(eps.get(k, v)
+                                     for k, v in _EPS_DEFAULTS.items()))]
     return _TIMES.ok(m["t_list"], m)
 
 
@@ -306,10 +308,10 @@ def _run_blur_decay(m, out, jobs):
 def _run_ccsb(m, out, jobs):
     topology = _topology_from_manifest(m)
     seed = m["seed"]
-    sampler = make_init_sampler(topology, m["lambda"], m["sampler"], seed,
-                                stream=(5,))
     queries = [CcsbQuery.build(topology, m["B"], m["D"], m["x"], mm,
                                m["delta"]) for mm in m["m_list"]]
+    sampler = make_init_sampler(topology, m["lambda"], m["sampler"], seed,
+                                stream=(5,))
     reports = ccsb_check(sampler, topology, queries, m["replicas"], seed)
     rows = [(qid, rep.query.m, m["delta"], rep.joint_hat, rep.cond_hat,
              rep.bound, rep.verdict) for qid, rep in enumerate(reports)]
@@ -378,14 +380,14 @@ _KINDS = {
          "init": _Field(_INIT, default={"kind": "vacant"}),
          "dump_trajectory": _Field(lambda v, m: isinstance(v, bool),
                                   "true or false", False),
-         "n_batches": _int(1, 20)},
+         "n_batches": _int(1, DEFAULT_BATCHES)},
         _grid_box, (_horizon_after_burn_in,),
         {"density.csv": "site coords density stderr"},
         ("density.csv", 12, _EVENTS), _run_simulate),
     "stationary": _Kind(
         {**_COMMON, **_GRID, "horizon": _HORIZON, "burn_in": _MAYBE_BURN_IN,
          "window": _Field(_list_of(_coord), "a non-empty " + _COORDS),
-         "n_batches": _int(1, 20)},
+         "n_batches": _int(1, DEFAULT_BATCHES)},
         _grid_box, (_horizon_after_burn_in,),
         {"measure.csv": _MEASURE},
         ("measure.csv", 12, _EVENTS), _run_stationary),
@@ -425,9 +427,9 @@ _KINDS = {
          "r_I": _int(0, 0), "t": _Field(_time, _TIME, _OPTIONAL),
          "t_list": _TIMES, "epsilon": _EPS,
          "replicas": _int(0),
-         "bank_snapshots": _int(1, 800),
-         "bank_spacing": _HORIZON._replace(default=1.0),
-         "bank_burn_in": _Field(_time, _TIME, 30.0)},
+         "bank_snapshots": _int(1, CoupleParams.bank_snapshots),
+         "bank_spacing": _HORIZON._replace(default=CoupleParams.bank_spacing),
+         "bank_burn_in": _Field(_time, _TIME, CoupleParams.bank_burn_in)},
         lambda m: (m["d"], m["K"], m["bank_snapshots"]), (_couple_geometry,),
         {"records.csv": "replica initial_J_equal agree_on_I any_I_blurred "
                         "in_A_window in_A_torus",

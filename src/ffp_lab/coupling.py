@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blur import blur_geometry, init_blur
+from .blur import blur_geometry, epsilon_for, init_blur
 from .engine import Event, ForestFireEngine
 from .errors import InvalidParameterError
 from .lattice import TORUS, WINDOW, box_coords, build_topology
-from .measure import CylinderEvent, MaximalCoupling, total_variation_ci
+from .measure import (CylinderEvent, MaximalCoupling, measure_from_snapshots,
+                      total_variation_ci)
 from .rng import make_rng
 from .sampling import SnapshotBank
 from .stats import binomial_se, paired_se
@@ -103,8 +104,10 @@ class CoupledExperiment:
             self.torus_topo, p.lam, p.bank_snapshots, p.bank_spacing,
             p.bank_burn_in, p.seed, stream=(52, p.k))
 
-        self.p_J = self.window_bank.marginal(self.J)
-        self.q_J = self.torus_bank.marginal(self.J)
+        self.p_J = measure_from_snapshots(self.window_topo, self.J,
+                                          self.window_bank.configs)
+        self.q_J = measure_from_snapshots(self.torus_topo, self.J,
+                                          self.torus_bank.configs)
         self._w_buckets = self.window_bank.buckets(self.J)
         self._t_buckets = self.torus_bank.buckets(self.J)
         self.coupling = MaximalCoupling(self.p_J, self.q_J)
@@ -217,32 +220,27 @@ def lemma1_report(experiment: CoupledExperiment,
 
 
 def lemma1_experiment(params: CoupleParams, event: CylinderEvent,
-                      replicas: int, jobs: int = 1, **banks) -> Lemma1Report:
+                      replicas: int, jobs: int = 1) -> Lemma1Report:
     """Coupled-run estimate of the three-term inequality for one geometry."""
     if replicas < 1:
         raise InvalidParameterError("need at least one replica")
-    experiment = CoupledExperiment(params, event, **banks)
+    experiment = CoupledExperiment(params, event)
     return lemma1_report(experiment, experiment.run_many(replicas, jobs))
 
 
-def lemma1_default_scan(seed, replicas=500, d=2, lam=1.0, t=None,
-                        L_values=(1, 2), k_values=(3, 4, 5, 6),
-                        bank_snapshots=800) -> list[Lemma1Report]:
-    """Desk-scale scan: L in {1,2}, k in {3..6}, K = 2k; the banks of the
-    first experiment for each k are shared with the others."""
-    from .blur import epsilon_for
-    if t is None:
-        t = 0.5 * epsilon_for(1, 3 * d)
+def lemma1_default_scan(seed, replicas) -> list[Lemma1Report]:
+    """Desk-scale scan on one fixed geometry: d = 2, lambda = 1, r_I = 0,
+    t = epsilon_for(1, 6) / 2, L in {1, 2}, k in {3..6}, K = 2k and the
+    default banks; the banks of the first experiment for each k are
+    shared with the others."""
+    t = 0.5 * epsilon_for(1, 6)
     if replicas < 1:
         raise InvalidParameterError("need at least one replica")
     reports = []
-    for k in k_values:
+    for k in (3, 4, 5, 6):
         banks = {}
-        for L in L_values:
-            if k <= L:
-                continue
-            params = CoupleParams(d, lam, 2 * k, k, 0, L, t, seed,
-                                  bank_snapshots=bank_snapshots)
+        for L in (1, 2):
+            params = CoupleParams(2, 1.0, 2 * k, k, 0, L, t, seed)
             experiment = CoupledExperiment(params, None, **banks)
             banks = {"window_bank": experiment.window_bank,
                      "torus_bank": experiment.torus_bank}

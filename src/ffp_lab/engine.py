@@ -21,12 +21,11 @@ needed.
 
 ``run_until`` drives two kinds of callbacks.  Observers see state
 changes only: ``on_event(engine, changed)`` right after each effective
-event, with ``engine.clock`` at its time, and ``accumulate(engine, dt)``
-once per call, with ``engine.clock`` at the horizon and dt the time the
-call covered; each method is optional, and no-op attempts cost an
-observer nothing.  Listeners see every attempt:
-``on_event(engine, event, changed)``, where ``changed`` is empty for a
-no-op.
+event, with ``engine.clock`` at its time, and ``accumulate(engine)``
+once per call, with ``engine.clock`` at the horizon; each method is
+optional, and no-op attempts cost an observer nothing.  Listeners see
+every attempt: ``on_event(engine, event, changed)``, where ``changed``
+is empty for a no-op.
 """
 
 from typing import NamedTuple
@@ -203,9 +202,8 @@ class ForestFireEngine:
         """Advance the trajectory to time T.
 
         Observers get ``on_event(engine, changed)`` after each effective
-        event only, and ``accumulate(engine, dt)`` once, when the clock
-        has reached T, with dt = T minus the clock at the call; each
-        method is optional.  Listeners get
+        event only, and ``accumulate(engine)`` once, when the clock has
+        reached T; each method is optional.  Listeners get
         ``on_event(engine, event, changed)`` after every attempt,
         no-ops included.  The event sampled past T is drawn and
         discarded, which is exact by memorylessness of the exponential
@@ -217,7 +215,7 @@ class ForestFireEngine:
         closers = [ob.accumulate for ob in observers if hasattr(ob, "accumulate")]
         if T == self.clock:
             for acc in closers:
-                acc(self, 0.0)
+                acc(self)
             return self
         sampler = self._sampler
         changers = [ob.on_event for ob in observers if hasattr(ob, "on_event")]
@@ -226,7 +224,7 @@ class ForestFireEngine:
         i = sampler.i
         if i < _CHUNK:
             dts, sites, us = sampler.dt, sampler.site, sampler.u
-        clock = start = self.clock
+        clock = self.clock
         drawn = -i                      # drawn + i: draws taken in this call
         growths = grown = burnt = 0
         try:
@@ -242,7 +240,7 @@ class ForestFireEngine:
                     drawn -= 1          # the discarded draw is no attempt
                     clock = self.clock = T
                     for acc in closers:
-                        acc(self, T - start)
+                        acc(self)
                     return self
                 site = sites[i]
                 growth = us[i] < p_growth

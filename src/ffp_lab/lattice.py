@@ -245,10 +245,6 @@ def cluster_union(config, topology: Topology, sites) -> frozenset[int]:
     return frozenset(out)
 
 
-def all_vacant(topology: Topology) -> list[int]:
-    return [0] * topology.n_sites
-
-
 def bernoulli_config(topology: Topology, p: float, rng) -> list[int]:
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError("occupation probability must lie in [0, 1]")

@@ -22,7 +22,7 @@ def chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def run_chunked(worker, payload, n: int, jobs: int = 1) -> list:
+def run_chunked(worker, payload, n: int, jobs: int) -> list:
     """Run worker over [0, n) split into chunks; results concatenated in
     replica order regardless of jobs."""
     if n <= 0:

@@ -11,8 +11,8 @@ from collections import defaultdict
 
 from .engine import ForestFireEngine
 from .errors import InvalidParameterError
-from .lattice import Topology, all_vacant, bernoulli_config, check_bank_cap
-from .measure import canonical_window, measure_from_snapshots, window_pattern
+from .lattice import Topology, bernoulli_config, check_bank_cap
+from .measure import canonical_window, window_pattern
 from .rng import make_rng
 
 DEFAULT_SNAPSHOTS = 1000
@@ -22,7 +22,7 @@ class SnapshotBank:
     """Spaced snapshots of one long stationary run."""
 
     def __init__(self, topology: Topology, lam, n_snapshots, spacing, burn_in,
-                 seed, init_config=None, stream=(0,)):
+                 seed, stream=(0,)):
         if n_snapshots < 1:
             raise InvalidParameterError("need at least one snapshot")
         if spacing <= 0:
@@ -30,8 +30,7 @@ class SnapshotBank:
         check_bank_cap(n_snapshots, topology.n_sites)
         self.topology = topology
         self.mode = "stationary-bank"
-        engine = ForestFireEngine(topology, lam, make_rng(seed, *stream),
-                                  init_config)
+        engine = ForestFireEngine(topology, lam, make_rng(seed, *stream))
         engine.run_until(burn_in)
         self.configs = []
         for i in range(n_snapshots):
@@ -40,9 +39,6 @@ class SnapshotBank:
 
     def sample(self, rng):
         return self.configs[int(rng.integers(len(self.configs)))]
-
-    def marginal(self, window):
-        return measure_from_snapshots(self.topology, window, self.configs)
 
     def buckets(self, window):
         """Snapshot indices grouped by their window pattern."""
@@ -66,7 +62,7 @@ class VacantSampler:
         self.mode = "vacant"
 
     def sample(self, rng):
-        return tuple(all_vacant(self.topology))
+        return (0,) * self.topology.n_sites
 
 
 class BernoulliSampler:
@@ -88,13 +84,13 @@ class ReplicaSampler:
     time s; draws are independent across calls.
     """
 
-    def __init__(self, topology: Topology, lam, s, init_sampler=None):
+    def __init__(self, topology: Topology, lam, s, init_sampler):
         if s < 0:
             raise InvalidParameterError("observation time must be nonnegative")
         self.topology = topology
         self.lam = lam
         self.s = s
-        self.init_sampler = init_sampler or VacantSampler(topology)
+        self.init_sampler = init_sampler
         self.mode = f"replica(s={s}, init={self.init_sampler.mode})"
 
     def sample(self, rng):
@@ -106,7 +102,7 @@ class ReplicaSampler:
         return engine.snapshot()
 
 
-def make_init_sampler(topology: Topology, lam, spec: dict, seed, stream=(5,)):
+def make_init_sampler(topology: Topology, lam, spec: dict, seed, stream):
     """Build an initial-configuration sampler from a config dict.
 
     Kinds: {"kind": "vacant"}, {"kind": "bernoulli", "p": ...},

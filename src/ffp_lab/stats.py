@@ -5,10 +5,11 @@ import math
 import numpy as np
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at 95%."""
     if n <= 0:
         return 0.0, 1.0
+    z = 1.96
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -80,6 +80,20 @@ class TestValidation:
             validate_manifest(bad)
         assert any("k > r_I + L" in p for p in err.value.problems)
 
+    def test_epsilon_defaults(self):
+        from ffp_lab.blur import epsilon_for
+        base = {k: v for k, v in BLUR.items() if k != "t_list"}
+        m = validate_manifest(dict(base, epsilon={}))
+        assert m["t_list"] == [epsilon_for(1, 6, 0.5)]
+        m = validate_manifest(dict(base, epsilon={"safety": 1, "d_G": 4}))
+        assert m["t_list"] == [epsilon_for(1, 4, 1)]
+
+    def test_couple_bank_defaults(self):
+        m = validate_manifest({k: v for k, v in COUPLE.items()
+                               if not k.startswith("bank_")})
+        assert [m[k] for k in ("bank_snapshots", "bank_spacing",
+                               "bank_burn_in")] == [800, 1.0, 30.0]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ManifestError):
             parse_manifest(tmp_path / "nope.json")
@@ -294,6 +308,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("capacity error: ")
         assert sizes == []
+
+    def test_ccsb_query_checked_before_the_bank_is_built(
+            self, tmp_path, monkeypatch, capsys):
+        from ffp_lab import sampling
+
+        def no_bank(*args, **kwargs):
+            raise AssertionError("snapshot bank built before the query check")
+
+        monkeypatch.setattr(sampling.SnapshotBank, "__init__", no_bank)
+        path = write_manifest(tmp_path, dict(CCSB, D=[[0, 0]],
+                                             sampler={"kind": "stationary"}))
+        assert main(["ccsb", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "probe site must lie outside D" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]",
                                       '{"manifest": 5}'],

@@ -179,18 +179,6 @@ class TestRunUntil:
         with pytest.raises(InvalidParameterError):
             eng.run_until(1.0)
 
-    def test_observer_time_adds_up(self):
-        class TimeSum:
-            total = 0.0
-
-            def accumulate(self, engine, dt):
-                self.total += dt
-
-        eng = make_engine(seed=6)
-        ob = TimeSum()
-        eng.run_until(5.0, observers=(ob,))
-        assert ob.total == pytest.approx(5.0)
-
     def test_trajectory_recorder(self, tmp_path):
         eng = make_engine(seed=7)
         path = tmp_path / "traj.txt"
@@ -229,8 +217,8 @@ class TestStreamPreserved:
         class Counter:
             calls = changes = 0
 
-            def accumulate(self, engine, dt):
-                assert engine.clock == 4.0 and dt == 4.0
+            def accumulate(self, engine):
+                assert engine.clock == 4.0
                 self.calls += 1
 
             def on_event(self, engine, changed):

@@ -282,6 +282,16 @@ class TestExactOracles:
         assert ex.cylinder(ev) == pytest.approx(0.5, abs=1e-12)
         assert cylinder_probability(ex, ev) == pytest.approx(0.5, abs=1e-12)
 
+    def test_cylinder_reads_bits_in_event_window_order(self):
+        # bit j of an accepted code is event.window[j], as in holds_on,
+        # also when the window is not sorted
+        topo = explicit_topology(3, [(0, 1), (1, 2)])
+        ex = exact_stationary(topo, 1.0)
+        ev = CylinderEvent(((1,), (0,)), frozenset({0b10}))
+        want = sum(p for s, p in enumerate(ex.probs)
+                   if ev.holds_on([s >> i & 1 for i in range(3)], topo))
+        assert ex.cylinder(ev) == pytest.approx(want, abs=1e-12)
+
 
 class TestEstimate:
     def test_matches_exact_single_site(self):
@@ -324,10 +334,9 @@ class TestObserverBatches:
         eng = ForestFireEngine(topo, 1.0, make_rng(0), [1, 0, 1] * 3)
         eng.clock = self.T0
         ob = make_observer(eng)
-        points = [self.T0] + sorted(cuts) + [self.T1]
-        for a, b in zip(points[:-1], points[1:]):
-            eng.clock = b
-            ob.accumulate(eng, b - a)
+        for t in sorted(cuts) + [self.T1]:
+            eng.clock = t
+            ob.accumulate(eng)
         return ob
 
     def cuts(self):
