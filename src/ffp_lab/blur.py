@@ -139,18 +139,20 @@ class DecayRow:
     ci_high: float
 
 
-def _decay_chunk(payload, start, stop):
-    """Per-replica first-marking times for one L (parallel worker)."""
-    geometry, lam, x_idx, sampler, t_max, seed, L = payload
-    out = []
-    for rep in range(start, stop):
-        rng = make_rng(seed, 31, L, rep)
-        cfg = sampler.sample(rng)
-        engine = ForestFireEngine(geometry.topology, lam, rng, cfg)
-        watcher = _FirstFlagWatcher(init_blur(engine, geometry), x_idx)
-        engine.run_until(t_max, observers=(watcher,))
-        out.append(watcher.flag_time)
-    return out
+def _decay_one(payload, r):
+    """First marking time of the probe site in item r of the L-major
+    (L, replica) grid (parallel worker); 0 if it is marked at the start."""
+    setups, lam, t_max, seed, replicas = payload
+    L, x_idx, geometry, sampler = setups[r // replicas]
+    rng = make_rng(seed, 31, L, r % replicas)
+    cfg = sampler.sample(rng)
+    engine = ForestFireEngine(geometry.topology, lam, rng, cfg)
+    tracker = init_blur(engine, geometry)
+    if x_idx in tracker.flags:
+        return 0.0
+    watcher = _FirstFlagWatcher(tracker, x_idx)
+    engine.run_until(t_max, observers=(watcher,))
+    return watcher.flag_time
 
 
 def blur_decay_experiment(d, lam, x_coord, r_I, L_list, t_list, replicas,
@@ -159,23 +161,29 @@ def blur_decay_experiment(d, lam, x_coord, r_I, L_list, t_list, replicas,
 
     For each L the process runs on a window of radius r_I + L + margin
     with S the box of radius r_I + L; the probe site's first marking
-    time is recorded and thresholded against each t.
+    time is recorded and thresholded against each t.  Every L is set up
+    first, and the whole (L, replica) grid fans out once.
     """
     from .lattice import build_topology
     from .parallel import run_chunked
     from .sampling import make_init_sampler
+    if replicas < 1:
+        raise InvalidParameterError("need at least one replica")
     t_list = sorted(t_list)
-    t_max = t_list[-1]
-    rows = []
+    setups = []
     for L in sorted(L_list):
         topology = build_topology(d, r_I + L + margin, WINDOW)
-        x_idx = topology.site_index(x_coord)
-        geometry = blur_geometry(topology, box_coords(d, r_I + L))
-        sampler = make_init_sampler(topology, lam, init, seed, stream=(30, L))
-        payload = (geometry, lam, x_idx, sampler, t_max, seed, L)
-        flag_times = run_chunked(_decay_chunk, payload, replicas, jobs)
+        setups.append((L, topology.site_index(x_coord),
+                       blur_geometry(topology, box_coords(d, r_I + L)),
+                       make_init_sampler(topology, lam, init, seed,
+                                         stream=(30, L))))
+    payload = (setups, lam, t_list[-1], seed, replicas)
+    flag_times = run_chunked(_decay_one, payload, len(setups) * replicas, jobs)
+    rows = []
+    for i, (L, *_) in enumerate(setups):
+        times = flag_times[i * replicas:(i + 1) * replicas]
         for t in t_list:
-            flagged = int(sum(ft <= t for ft in flag_times))
+            flagged = int(sum(ft <= t for ft in times))
             lo, hi = wilson_interval(flagged, replicas)
             rows.append(DecayRow(L, t, flagged, replicas,
                                  flagged / replicas, float(lo), float(hi)))
@@ -184,12 +192,13 @@ def blur_decay_experiment(d, lam, x_coord, r_I, L_list, t_list, replicas,
 
 class _FirstFlagWatcher:
     """Engine observer recording when a blur process first marks the
-    probe site; the process is not followed after that."""
+    probe site, unmarked at the start; the process is not followed after
+    that."""
 
     def __init__(self, tracker: BlurTracker, probe):
         self.tracker = tracker
         self.probe = probe
-        self.flag_time = 0.0 if probe in tracker.flags else float("inf")
+        self.flag_time = float("inf")
 
     def on_event(self, engine, changed):
         if self.flag_time == float("inf"):

@@ -50,8 +50,6 @@ class CcsbReport:
     joint_hat: float
     cond_hat: float
     bound: float             # delta * cond_hat
-    joint_ci: tuple
-    cond_ci: tuple
     verdict: str             # holds | violated | inconclusive
 
 
@@ -101,7 +99,7 @@ def _report(query: CcsbQuery, replicas, joint, cond) -> CcsbReport:
     else:
         verdict = "inconclusive"
     return CcsbReport(query, replicas, joint, cond, joint_hat, cond_hat,
-                      bound, joint_ci, cond_ci, verdict)
+                      bound, verdict)
 
 
 @dataclass
@@ -116,7 +114,6 @@ class TailRow:
 
 @dataclass
 class TailReport:
-    x: int
     rows: list
     max_size: int
     sampler_mode: str
@@ -143,5 +140,4 @@ def cluster_size_tail(sampler, topology: Topology, x, m_list, replicas,
         lo, hi = wilson_interval(exceed, replicas)
         rows.append(TailRow(int(m), exceed, replicas,
                             exceed / replicas, lo, hi))
-    return TailReport(xi, rows, max(sizes),
-                      getattr(sampler, "mode", "unknown"))
+    return TailReport(rows, max(sizes), getattr(sampler, "mode", "unknown"))

@@ -147,7 +147,7 @@ class CoupledExperiment:
 
     def run_many(self, replicas: int, jobs: int = 1) -> list[CoupledRecord]:
         from .parallel import run_chunked
-        return run_chunked(_couple_chunk, self, replicas, jobs)
+        return run_chunked(CoupledExperiment.run_one, self, replicas, jobs)
 
 
 class _TorusMirror:
@@ -164,10 +164,6 @@ class _TorusMirror:
             self.t_engine.apply_event(Event(event.time, ti, event.kind))
 
 
-def _couple_chunk(experiment, start, stop):
-    return [experiment.run_one(r) for r in range(start, stop)]
-
-
 @dataclass
 class Lemma1Report:
     lhs: float               # |P(A) window - P(A) torus|
@@ -177,9 +173,7 @@ class Lemma1Report:
     verdict: str
     p_A_window: float
     p_A_torus: float
-    blur_site_freq: dict     # probe coord -> marked frequency
     tv: float
-    tv_ci: tuple
     eq_freq: float           # frequency of equal initial J-patterns
     replicas: int
     params: CoupleParams = None
@@ -197,10 +191,8 @@ def lemma1_report(experiment: CoupledExperiment,
     se_lhs = paired_se(in_w - in_t)
 
     n_I = len(experiment.I)
-    site_freq = {}
-    for c in experiment.I:
-        site_freq[c] = sum(c in r.blurred_I for r in records) / n
-    sup_freq = max(site_freq.values())
+    sup_freq = max(sum(c in r.blurred_I for r in records) / n
+                   for c in experiment.I)
     blur_term = n_I * sup_freq
     se_blur = n_I * binomial_se(int(round(sup_freq * n)), n)
 
@@ -214,9 +206,8 @@ def lemma1_report(experiment: CoupledExperiment,
     verdict = "holds" if lhs <= blur_term + tv_term + 3 * pooled else "violated"
     eq_freq = sum(r.initial_J_equal for r in records) / n
     return Lemma1Report(lhs, blur_term, tv_term, pooled, verdict,
-                        float(in_w.mean()), float(in_t.mean()), site_freq,
-                        tv, (tv_lo, tv_hi), eq_freq, n, experiment.params,
-                        records)
+                        float(in_w.mean()), float(in_t.mean()), tv, eq_freq,
+                        n, experiment.params, records)
 
 
 def lemma1_experiment(params: CoupleParams, event: CylinderEvent,

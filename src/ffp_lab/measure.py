@@ -547,7 +547,6 @@ class ScanRow:
 
 @dataclass
 class ConvergenceScan:
-    window: tuple[Coord, ...]
     marginals: dict          # k -> EmpiricalMeasure
     rows: list               # consecutive-pair ScanRow entries
 
@@ -574,14 +573,13 @@ def mu_convergence_scan(d, lam, window, k_list, burn_in, horizon, seed,
     for k0, k1 in zip(k_list[:-1], k_list[1:]):
         tv, lo, hi = total_variation_ci(marginals[k0], marginals[k1], rng, n_boot)
         rows.append(ScanRow(k0, k1, tv, lo, hi))
-    return ConvergenceScan(window, marginals, rows)
+    return ConvergenceScan(marginals, rows)
 
 
 @dataclass
 class StationarityReport:
     lhs: float               # P(A) after evolving each snapshot for time t
     rhs: float               # P(A) over the initial snapshots
-    z: float
     se: float
     replicas: int
 
@@ -619,6 +617,4 @@ def stationarity_check(topology: Topology, lam, event: CylinderEvent, t,
     n = len(bank.configs)
     lhs = after / n
     rhs = before / n
-    se = paired_se(diffs)
-    z = (lhs - rhs) / se if se > 0 else 0.0
-    return StationarityReport(lhs, rhs, z, se, n)
+    return StationarityReport(lhs, rhs, paired_se(diffs), n)

@@ -204,7 +204,21 @@ class TestDecayExperiment:
         assert rows[1].p_hat <= rows[0].p_hat
 
     def test_jobs_deterministic(self):
-        args = (2, 1.0, (0, 0), 0, [1], [0.05], 40,
+        args = (2, 1.0, (0, 0), 0, [2, 1], [0.05], 40,
                 {"kind": "bernoulli", "p": 0.4}, 5)
         assert blur_decay_experiment(*args, jobs=1) == \
             blur_decay_experiment(*args, jobs=3)
+
+    def test_one_pool_for_every_L(self, fake_pool):
+        """The whole (L, replica) grid fans out through one process pool
+        (a fake one, run in this process)."""
+        args = (2, 1.0, (0, 0), 0, [3, 1], [0.02, 0.1], 12,
+                {"kind": "bernoulli", "p": 0.4}, 7)
+        serial = blur_decay_experiment(*args, jobs=1)
+        assert blur_decay_experiment(*args, jobs=3) == serial
+        assert len(fake_pool) == 1
+
+    def test_replicas_required(self):
+        with pytest.raises(InvalidParameterError, match="at least one replica"):
+            blur_decay_experiment(2, 1.0, (0, 0), 0, [1], [0.05], 0,
+                                  {"kind": "vacant"}, 1)

@@ -517,36 +517,17 @@ def test_jobs_defaults_to_one_whatever_the_environment(monkeypatch):
     assert args.jobs == 1
 
 
-def test_pool_size_bounded_by_chunks_and_cpus(monkeypatch):
+def test_pool_size_bounded_by_chunks_and_cpus(fake_pool):
     """A fork-started pool launches every worker at the first submit, so
     the pool is never sized by --jobs alone (no real pool is started)."""
-    from concurrent.futures import Future
-
     from ffp_lab import parallel
-    sizes = []
 
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def squares(payload, r):
+        return payload * r * r
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    def squares(payload, start, stop):
-        return [payload * i * i for i in range(start, stop)]
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
     out = parallel.run_chunked(squares, 2, 5, jobs=10**6)
-    assert out == squares(2, 0, 5)
-    assert sizes == [min(5, len(os.sched_getaffinity(0)))]
+    assert out == [squares(2, r) for r in range(5)]
+    assert fake_pool == [min(5, len(os.sched_getaffinity(0)))]
 
 
 def test_cli_import_leaves_scipy_unloaded():
