@@ -169,6 +169,8 @@ def blur_decay_experiment(d, lam, x_coord, r_I, L_list, t_list, replicas,
     from .sampling import make_init_sampler
     if replicas < 1:
         raise InvalidParameterError("need at least one replica")
+    if not t_list:
+        raise InvalidParameterError("need at least one time")
     t_list = sorted(t_list)
     setups = []
     for L in sorted(L_list):

@@ -26,8 +26,6 @@ import time
 from collections import defaultdict, namedtuple
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .blur import blur_decay_experiment, epsilon_for
 from .ccsb import CcsbQuery, ccsb_check, cluster_size_tail
@@ -222,22 +220,13 @@ def _couple_geometry(m, problems):
 # ---------------------------------------------------------------------------
 # Output helpers
 
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
 def write_csv(path, header, rows):
+    """Floats are written as their repr, numpy's included, and bools as
+    True or False, so flag columns are passed as ints."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _topology_from_manifest(manifest, cap=None):
@@ -325,8 +314,9 @@ def _run_couple(m, out, jobs):
     event = CylinderEvent.site_occupied((0,) * m["d"])
     report = lemma1_experiment(_couple_params(m), event, m["replicas"],
                                jobs=jobs)
-    return {"records.csv": [(i, r.initial_J_equal, r.agree_on_I,
-                             r.any_I_blurred, r.in_A_window, r.in_A_torus)
+    return {"records.csv": [(i, int(r.initial_J_equal), int(r.agree_on_I),
+                             int(r.any_I_blurred), int(r.in_A_window),
+                             int(r.in_A_torus))
                             for i, r in enumerate(report.records)],
             "lemma1.csv": [report], "verdict": report.verdict}
 

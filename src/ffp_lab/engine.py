@@ -12,12 +12,15 @@ growth with probability 1/(1+lambda).  Attempts on wrong-state sites are
 kept as no-ops, which makes the sampling exact regardless of the current
 configuration.
 
-Cluster membership is kept in a union-find over the occupied sites,
-built at construction by one flood-fill labelling (Hoshen & Kopelman,
-PRB 14, 3438, 1976) and merged by size on each growth.  Fires always
-remove whole clusters, so a burn can simply reset the parent pointers
-of the retired members; no fully dynamic connectivity structure is
-needed.
+Cluster membership is kept as a label per occupied site and a members
+list per label, built at construction by one flood-fill labelling
+(Hoshen & Kopelman, PRB 14, 3438, 1976).  A growth merges clusters by
+size, relabelling the smaller one; a live label is always one of its
+own sites.  Fires always remove whole clusters, so a burn retires a
+label with all its sites; no fully dynamic connectivity structure is
+needed.  Draws are buffered in fixed-size chunks of (holding time,
+site, kind) triples, so the random stream consumed depends only on
+the number of events drawn.
 
 ``run_until`` drives two kinds of callbacks.  Observers see state
 changes only: ``on_event(engine, changed)`` right after each effective
@@ -45,39 +48,6 @@ class Event(NamedTuple):
     kind: str
 
 
-class _EventSampler:
-    """Buffered sampler for (holding time, site, kind) triples.
-
-    Draws are buffered in fixed-size chunks, so the random stream
-    consumed depends only on the number of events drawn; the buffering
-    is invisible to reproducibility.  The chunk is held as memoryviews,
-    whose items index as Python floats and ints at no per-chunk
-    conversion cost; ``i`` is the next unread position.
-    """
-
-    def __init__(self, rng, n_sites, lam):
-        self.rng = rng
-        self.n = n_sites
-        self.scale = 1.0 / (n_sites * (1.0 + lam))
-        self.p_growth = 1.0 / (1.0 + lam)
-        self.i = _CHUNK
-
-    def refill(self):
-        rng = self.rng
-        self.dt = memoryview(rng.exponential(self.scale, _CHUNK))
-        self.site = memoryview(rng.integers(0, self.n, _CHUNK))
-        self.u = memoryview(rng.random(_CHUNK))
-        self.i = 0
-
-    def draw(self):
-        if self.i == _CHUNK:
-            self.refill()
-        i = self.i
-        self.i = i + 1
-        kind = GROWTH if self.u[i] < self.p_growth else IGNITION
-        return self.dt[i], self.site[i], kind
-
-
 class ForestFireEngine:
     """One forest-fire trajectory on a finite topology.
 
@@ -101,79 +71,79 @@ class ForestFireEngine:
             raise InvalidParameterError("initial configuration length mismatch")
         self.counts = {GROWTH: 0, IGNITION: 0}
         self.effective = {GROWTH: 0, "burn": 0}
-        self._sampler = _EventSampler(rng, n, self.lam)
+        self._scale = 1.0 / (n * (1.0 + self.lam))
+        self._p_growth = 1.0 / (1.0 + self.lam)
+        self._i = _CHUNK                # next unread draw of the chunk
 
-        # Members lists live at roots.  A labelled site points at a lower
-        # root, so an occupied r with parent[r] == r starts a new cluster.
+        # A labelled site carries a lower label, so an occupied r with
+        # label[r] == r starts a new cluster.
         occ, adj = self.occ, topology.adjacency
-        parent = self._parent = list(range(n))
+        label = self._label = list(range(n))
         members = self._members = {}
         for r in range(n):
-            if occ[r] and parent[r] == r:
+            if occ[r] and label[r] == r:
                 cluster = members[r] = [r]
                 for i in cluster:       # the list grows while it is read
                     for j in adj[i]:
-                        if occ[j] and parent[j] != r:
-                            parent[j] = r
+                        if occ[j] and label[j] != r:
+                            label[j] = r
                             cluster.append(j)
-
-    # ---- cluster index ----
-
-    def _find(self, i):
-        parent = self._parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
 
     def cluster_members(self, site) -> list[int]:
         """Members of the occupied cluster of a site ([] if vacant)."""
         i = self.topology.site_index(site)
         if not self.occ[i]:
             return []
-        return self._members[self._find(i)]
+        return self._members[self._label[i]]
 
     # ---- dynamics ----
 
+    def _refill(self):
+        """Draw the next chunk, held as memoryviews, whose items index as
+        Python floats and ints at no per-chunk conversion cost."""
+        rng = self.rng
+        self._dt = memoryview(rng.exponential(self._scale, _CHUNK))
+        self._site = memoryview(rng.integers(0, len(self.occ), _CHUNK))
+        self._u = memoryview(rng.random(_CHUNK))
+        self._i = 0
+
     def _occupy(self, site):
-        """Growth on a vacant site: union by size with the cluster of each
-        occupied neighbour, found with path compression; the grown site's
-        root wins a tie."""
-        occ, parent, members = self.occ, self._parent, self._members
+        """Growth on a vacant site: merge by size with the cluster of each
+        occupied neighbour, relabelling the smaller one; the grown site's
+        cluster wins a tie."""
+        occ, label, members = self.occ, self._label, self._members
         occ[site] = 1
-        parent[site] = root = site
+        label[site] = root = site
         mine = members[site] = [site]
         for j in self.topology.adjacency[site]:
             if occ[j]:
-                other = j
-                while parent[other] != other:
-                    other = parent[other]
-                while parent[j] != other:
-                    parent[j], j = other, parent[j]
+                other = label[j]
                 if other != root:
                     theirs = members[other]
                     if len(mine) < len(theirs):
                         root, other, mine, theirs = other, root, theirs, mine
-                    parent[other] = root
+                    for m in theirs:
+                        label[m] = root
                     mine.extend(theirs)
                     del members[other]
 
     def _burn(self, site) -> list[int]:
         """Vacate the cluster of an occupied site; returns its members."""
-        members = self._members.pop(self._find(site))
-        occ, parent = self.occ, self._parent
+        members = self._members.pop(self._label[site])
+        occ = self.occ
         for m in members:
             occ[m] = 0
-            parent[m] = m
         return members
 
     def next_event(self) -> Event:
         """Sample the next event and advance the clock to it."""
-        dt, site, kind = self._sampler.draw()
-        self.clock += dt
-        return Event(self.clock, site, kind)
+        if self._i == _CHUNK:
+            self._refill()
+        i = self._i
+        self._i = i + 1
+        self.clock += self._dt[i]
+        kind = GROWTH if self._u[i] < self._p_growth else IGNITION
+        return Event(self.clock, self._site[i], kind)
 
     def apply_event(self, event: Event) -> list[int]:
         """Apply one event; returns the list of sites whose state flipped."""
@@ -217,21 +187,20 @@ class ForestFireEngine:
             for acc in closers:
                 acc(self)
             return self
-        sampler = self._sampler
         changers = [ob.on_event for ob in observers if hasattr(ob, "on_event")]
         occ, occupy, burn = self.occ, self._occupy, self._burn
-        p_growth = sampler.p_growth
-        i = sampler.i
+        p_growth = self._p_growth
+        i = self._i
         if i < _CHUNK:
-            dts, sites, us = sampler.dt, sampler.site, sampler.u
+            dts, sites, us = self._dt, self._site, self._u
         clock = self.clock
         drawn = -i                      # drawn + i: draws taken in this call
         growths = grown = burnt = 0
         try:
             while True:
                 if i == _CHUNK:
-                    sampler.refill()
-                    dts, sites, us = sampler.dt, sampler.site, sampler.u
+                    self._refill()
+                    dts, sites, us = self._dt, self._site, self._u
                     drawn += _CHUNK
                     i = 0
                 t_next = clock + dts[i]
@@ -268,7 +237,7 @@ class ForestFireEngine:
                     for li in listeners:
                         li.on_event(self, event, changed)
         finally:
-            sampler.i = i
+            self._i = i
             self.clock = clock
             attempts = drawn + i
             self.counts[GROWTH] += growths

@@ -222,3 +222,11 @@ class TestDecayExperiment:
         with pytest.raises(InvalidParameterError, match="at least one replica"):
             blur_decay_experiment(2, 1.0, (0, 0), 0, [1], [0.05], 0,
                                   {"kind": "vacant"}, 1)
+
+    def test_times_required(self, monkeypatch):
+        def no_lattice(*args):
+            raise AssertionError("lattice built before the times were checked")
+        monkeypatch.setattr("ffp_lab.lattice.build_topology", no_lattice)
+        with pytest.raises(InvalidParameterError, match="at least one time"):
+            blur_decay_experiment(2, 1.0, (0, 0), 0, [1], [], 5,
+                                  {"kind": "vacant"}, 1)

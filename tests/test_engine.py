@@ -115,6 +115,7 @@ class TestLabelling:
         for i in range(topo.n_sites):
             if occ[i]:
                 assert set(eng.cluster_members(i)) == cluster_of(occ, topo, i)
+                assert i in eng._members[eng._label[i]]
         listed = [m for members in eng._members.values() for m in members]
         assert sorted(listed) == [i for i in range(topo.n_sites) if occ[i]]
 
@@ -127,6 +128,19 @@ class TestLabelling:
         for t, (site, kind) in enumerate(events, 1):
             eng.apply_event(Event(float(t), site, kind))
             self.assert_index_exact(eng)
+
+    def test_index_exact_along_long_low_lambda_run(self):
+        """Rare fires: merges of clusters of hundreds of sites, and
+        regrowth on the sites of retired labels."""
+        eng = ForestFireEngine(build_topology(2, 10, TORUS), 0.05,
+                               make_rng(4, 0))
+        largest = 0
+        for step in range(1, 20001):
+            eng.apply_event(eng.next_event())
+            if step % 500 == 0:
+                self.assert_index_exact(eng)
+                largest = max(largest, *map(len, eng._members.values()))
+        assert eng.effective["burn"] > 0 and largest > 200
 
 
 class TestSampling:
@@ -206,10 +220,10 @@ class TestStreamPreserved:
         for T in (2.5, 7.0):
             eng.run_until(T)
             while True:   # the draw past T is taken and discarded
-                dt, site, kind = ref._sampler.draw()
-                if ref.clock + dt > T:
+                event = ref.next_event()
+                if event.time > T:
                     break
-                ref.apply_event(Event(ref.clock + dt, site, kind))
+                ref.apply_event(event)
             ref.clock = T
             assert self.finish(eng) == self.finish(ref)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffp_lab import measure
-from ffp_lab.engine import Event, ForestFireEngine
+from ffp_lab.engine import ForestFireEngine
 from ffp_lab.errors import (CapacityError, InvalidParameterError,
                             WindowMismatchError)
 from ffp_lab.lattice import (TORUS, WINDOW, build_topology, check_box_cap,
@@ -409,13 +409,14 @@ class TestObserverBatches:
         occupied_time = np.zeros(topo.n_sites)
         t = ref.clock
         while True:
-            dt, site, kind = ref._sampler.draw()
-            t_next = min(t + dt, 40.0)
+            event = ref.next_event()
+            t_next = min(event.time, 40.0)
             occupied_time += (t_next - t) * np.array(ref.occ)
-            if t + dt > 40.0:
+            if event.time > 40.0:
                 break
-            t = t + dt
-            ref.apply_event(Event(t, site, kind))
+            t = event.time
+            ref.apply_event(event)
+        ref.clock = 40.0
         eng.run_until(40.0, observers=(ob,))
         dens, _ = ob.densities()
         np.testing.assert_allclose(dens, occupied_time / 38.0, rtol=0,
