@@ -188,6 +188,14 @@ def _horizon_after_burn_in(m, problems):
         problems.append("horizon must exceed burn_in")
 
 
+def _default_burn_in_before_horizon(m, problems):
+    """A grid's default burn-in is known before its lattice is built."""
+    if m["burn_in"] is None and "edge_file" not in m and not problems:
+        sites = (2 * m["k"] + 1) ** m["d"]
+        _horizon_after_burn_in(
+            dict(m, burn_in=default_burn_in(sites, m["horizon"])), problems)
+
+
 def _resolve_times(m, problems):
     """Fill t_list from an epsilon spec when absent; True when t_list is
     then valid."""
@@ -267,7 +275,7 @@ def _run_stationary(m, out, jobs):
     engine = ForestFireEngine(topology, m["lambda"], make_rng(m["seed"], 0))
     burn_in = m["burn_in"]
     if burn_in is None:
-        burn_in = default_burn_in(topology, m["horizon"])
+        burn_in = default_burn_in(topology.n_sites, m["horizon"])
     measure = estimate_marginal(engine, m["window"], burn_in,
                                 m["horizon"], m["n_batches"])
     return {"measure.csv": measure.rows(),
@@ -378,7 +386,7 @@ _KINDS = {
         {**_COMMON, **_GRID, "horizon": _HORIZON, "burn_in": _MAYBE_BURN_IN,
          "window": _Field(_list_of(_coord), "a non-empty " + _COORDS),
          "n_batches": _int(1, DEFAULT_BATCHES)},
-        _grid_box, (_horizon_after_burn_in,),
+        _grid_box, (_horizon_after_burn_in, _default_burn_in_before_horizon),
         {"measure.csv": _MEASURE},
         ("measure.csv", 12, _EVENTS), _run_stationary),
     "exact": _Kind(
@@ -580,10 +588,10 @@ def main(argv=None) -> int:
         if args.command == "summarize":
             print(summarize(args.out_dir))
             return 0
-        manifest = parse_manifest(args.manifest, args.command)
+        manifest = _read_object(args.manifest, "manifest")
         if args.seed is not None:
             manifest["seed"] = args.seed
-            manifest = validate_manifest(manifest, args.command)
+        manifest = validate_manifest(manifest, args.command)
         out = args.out or manifest.get("out") or f"ffp-out-{args.command}"
         run_experiment(manifest, out, args.jobs)
     except ManifestError as exc:

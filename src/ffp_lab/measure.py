@@ -32,10 +32,7 @@ GMRES_MAX_RESTARTS = 20   # converged solves need under one restart cycle
 
 def canonical_window(topology: Topology, window) -> tuple[Coord, ...]:
     """Sorted coordinate tuple for a window given as coords or indices."""
-    coords = []
-    for site in window:
-        i = topology.site_index(site)
-        coords.append(topology.coords[i])
+    coords = [topology.coords[topology.site_index(s)] for s in window]
     out = tuple(sorted(set(coords)))
     if len(out) != len(coords):
         raise InvalidParameterError("duplicate sites in window")
@@ -307,10 +304,10 @@ def estimate_marginal(engine: ForestFireEngine, window, burn_in, horizon,
     return obs.measure()
 
 
-def default_burn_in(topology: Topology, horizon: float) -> float:
+def default_burn_in(n_sites: int, horizon: float) -> float:
     """Heuristic burn-in: generous multiple of the site count, at least
     a fifth of the horizon.  Overridable everywhere it is used."""
-    return max(10.0 * topology.n_sites, horizon / 5.0)
+    return max(10.0 * n_sites, horizon / 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +595,7 @@ def stationarity_check(topology: Topology, lam, event: CylinderEvent, t,
     if replicas < 1:
         raise InvalidParameterError("need at least one replica")
     if burn_in is None:
-        burn_in = default_burn_in(topology, 2.0 * replicas)
+        burn_in = default_burn_in(topology.n_sites, 2.0 * replicas)
     bank = SnapshotBank(topology, lam, replicas, 2.0, burn_in, seed)
     diffs = []
     before = 0

@@ -1,19 +1,19 @@
-from concurrent.futures import Future
-
 import pytest
 
 
 @pytest.fixture
 def fake_pool(monkeypatch):
     """Replace the process pool of `ffp_lab.parallel` with one that runs
-    each task in this process; returns the max_workers of every pool
-    opened."""
+    its initializer and each mapped call in this process; returns the
+    max_workers of every pool opened."""
     from ffp_lab import parallel
     sizes = []
+    monkeypatch.setattr(parallel, "_run", None)   # restored after the test
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -21,10 +21,8 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
+        def map(self, fn, iterable, chunksize):
+            return [fn(x) for x in iterable]
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
     return sizes

@@ -94,6 +94,15 @@ class TestValidation:
         assert [m[k] for k in ("bank_snapshots", "bank_spacing",
                                "bank_burn_in")] == [800, 1.0, 30.0]
 
+    def test_default_burn_in_not_below_horizon_refused(self):
+        """A grid's default burn-in, max(10 x sites, horizon / 5), is known
+        from d and k, so validation refuses it before any lattice is built."""
+        m = dict(STAT, burn_in=None, horizon=40.0)   # 9 sites: 90 >= 40
+        with pytest.raises(ManifestError) as err:
+            validate_manifest(m)
+        assert err.value.problems == ["horizon must exceed burn_in"]
+        assert validate_manifest(dict(m, horizon=91.0))["burn_in"] is None
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ManifestError):
             parse_manifest(tmp_path / "nope.json")
@@ -154,6 +163,29 @@ class TestExitCodes:
     def test_validation_error(self, tmp_path):
         path = write_manifest(tmp_path, {"kind": "simulate", "lambda": 0})
         assert main(["simulate", "--manifest", str(path)]) == 2
+
+    def test_seed_flag_set_before_validation(self, tmp_path, capsys):
+        """--seed replaces the manifest's seed before the one validation,
+        so only the seed that the run uses is checked."""
+        path = write_manifest(tmp_path, dict(SIM, seed=-1))
+        args = ["simulate", "--manifest", str(path),
+                "--out", str(tmp_path / "out")]
+        assert main(args + ["--seed", "5"]) == 0
+        info = json.loads((tmp_path / "out" / "run_info.json").read_text())
+        assert info["seed"] == 5
+        assert main(args + ["--seed", "-3"]) == 2
+        assert "error: seed must be an integer >= 0" in capsys.readouterr().err
+
+    def test_edge_file_default_burn_in_refused_at_run_time(self, tmp_path,
+                                                          capsys):
+        edges = tmp_path / "ring.edges"
+        edges.write_text("".join(f"{i} {(i + 1) % 8}\n" for i in range(8)))
+        path = write_manifest(tmp_path, {
+            "kind": "stationary", "lambda": 1.0, "edge_file": str(edges),
+            "window": [[0]], "horizon": 40.0})   # 8 sites: 80 >= 40
+        assert main(["stationary", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: horizon must exceed burn_in" in capsys.readouterr().err
 
     def test_capacity_error(self, tmp_path):
         path = write_manifest(tmp_path, dict(EXACT, d=2, k=2))
