@@ -60,6 +60,9 @@ MANIFESTS = {
     "exact-edges": {"kind": "exact", "lambda": 0.8, "edge_file": "edges.txt"},
     "exact-grid": {"kind": "exact", "lambda": 1.3, "d": 2, "k": 1,
                    "mode": "window"},
+    # 15 sites, 148 GMRES iterations: the only solve here that restarts
+    "exact-window15": {"kind": "exact", "lambda": 0.3, "d": 1, "k": 7,
+                       "mode": "window"},
     # unsorted L_list, an epsilon spec and a stationary init
     "blur-decay-eps": {"kind": "blur-decay", "lambda": 1.0, "d": 2,
                        "L_list": [2, 1], "epsilon": {"m": 1},

@@ -563,14 +563,16 @@ def test_pool_size_bounded_by_chunks_and_cpus(fake_pool):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only the exact solve imports scipy, so no other run pays for it."""
+    """No run loads scipy: not the CLI import, and not the exact solve,
+    which needs numpy alone."""
     code = ("import sys\n"
             "import ffp_lab.cli\n"
             "assert 'scipy' not in sys.modules, 'scipy imported by ffp_lab.cli'\n"
             "from ffp_lab.lattice import explicit_topology\n"
             "from ffp_lab.measure import exact_stationary\n"
             "ex = exact_stationary(explicit_topology(2, [(0, 1)]), 1.0)\n"
-            "assert abs(ex.probs.sum() - 1.0) < 1e-12\n")
+            "assert abs(ex.probs.sum() - 1.0) < 1e-12\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported by the solve'\n")
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)))

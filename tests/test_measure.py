@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -142,8 +143,15 @@ def small_graphs(draw):
     return explicit_topology(n, sorted(edges))
 
 
+def generator_matrix(topology, lam):
+    """The generator's entries as a CSR matrix."""
+    rows, cols, rates = measure._build_generator(topology, lam)
+    size = 1 << topology.n_sites
+    return sp.csr_matrix((rates, (rows, cols)), shape=(size, size))
+
+
 def assert_same_generator(topology, lam):
-    Q = measure._build_generator(topology, lam)
+    Q = generator_matrix(topology, lam)
     ref = loop_generator(topology, lam)
     assert Q.nnz == ref.nnz, (topology.n_sites, lam)
     assert abs(Q - ref).max() <= 1e-12, (topology.n_sites, lam)
@@ -159,6 +167,64 @@ def lu_stationary(topology, lam):
     b = np.zeros(Q.shape[0])
     b[0] = 1.0
     return spla.spsolve(A.tocsr(), b)
+
+
+def scipy_stationary(topology, lam):
+    """Reference copy of the scipy solve: Jacobi-preconditioned
+    ``spla.gmres`` on Q^T without state 0, clipped and normalised.
+    Returns (probs, balance residual, iterations, gmres info)."""
+    Q = generator_matrix(topology, lam)
+    QT = Q.T.tocsr()
+    A = QT[1:, 1:]
+    b = -QT[1:, 0].toarray().ravel()
+    diag = A.diagonal()
+    jacobi = spla.LinearOperator(A.shape, matvec=lambda v: v / diag,
+                                 dtype=float)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = spla.gmres(A, b, rtol=1e-13, restart=measure.GMRES_RESTART,
+                         maxiter=measure.GMRES_MAX_RESTARTS, M=jacobi,
+                         callback=count, callback_type="pr_norm")
+    pi = np.clip(np.concatenate(([1.0], x)), 0.0, None)
+    pi /= pi.sum()
+    return pi, float(np.abs(pi @ Q).max()), iterations, info
+
+
+def assert_same_solve(topology, lam):
+    """exact_stationary gives the reference solve's doubles, bit for bit,
+    and fails where the reference does not converge."""
+    probs, residual, iterations, info = scipy_stationary(topology, lam)
+    if info != 0:
+        with pytest.raises(CapacityError, match=re.escape(
+                f"after {iterations} GMRES iterations: "
+                f"balance residual {residual:.3e} ")):
+            exact_stationary(topology, lam)
+        return
+    ex = exact_stationary(topology, lam)
+    assert np.array_equal(ex.probs.view(np.int64), probs.view(np.int64))
+    assert ex.balance_residual == residual
+    assert ex.solver_iterations == iterations
+    return ex
+
+
+class TestSolveMatchesScipyReference:
+    @pytest.mark.parametrize("shape", [(1, 12), (3, 4), (2, 5), (4, 4)],
+                             ids=["ring12", "grid3x4", "grid2x5", "grid4x4"])
+    def test_periodic_grids(self, shape):
+        assert_same_solve(periodic_grid(*shape), 1.0)
+
+    def test_restarted_solve(self):
+        ex = assert_same_solve(build_topology(1, 7, WINDOW), 0.3)
+        assert ex.solver_iterations > measure.GMRES_RESTART
+
+    @given(small_graphs(), st.sampled_from([0.01, 1.0, 20.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, topo, lam):
+        assert_same_solve(topo, lam)
 
 
 class TestExactOracles:
