@@ -12,7 +12,7 @@ from .blur import (BlurGeometry, BlurTracker, blur_decay_experiment,
                    blur_geometry, epsilon_for, init_blur)
 from .ccsb import CcsbQuery, CcsbReport, ccsb_check, cluster_size_tail
 from .coupling import (CoupledExperiment, CoupleParams, Lemma1Report,
-                       lemma1_default_scan, lemma1_experiment, lemma1_report)
+                       lemma1_experiment, lemma1_report)
 from .engine import (GROWTH, IGNITION, Event, ForestFireEngine,
                      TrajectoryRecorder)
 from .errors import (CapacityError, EventOrderError, FfpError,
@@ -24,10 +24,8 @@ from .lattice import (EXPLICIT, TORUS, WINDOW, Topology, box_coords,
 from .measure import (CylinderEvent, EmpiricalMeasure, ExactDistribution,
                       MarginalObserver, MaximalCoupling, SiteDensityObserver,
                       estimate_marginal, exact_stationary,
-                      measure_from_probabilities, measure_from_snapshots,
-                      mu_convergence_scan, stationarity_check,
-                      total_variation, total_variation_ci,
-                      translation_invariance_defect)
+                      measure_from_snapshots, mu_convergence_scan,
+                      total_variation, total_variation_ci)
 from .parallel import run_chunked
 from .rng import make_rng
 from .sampling import (BernoulliSampler, ReplicaSampler, SnapshotBank,

@@ -7,9 +7,10 @@ Usage:
 Kinds: simulate, stationary, exact, blur-decay, ccsb, couple, mu-scan.
 Exit codes: 0 success, 2 validation or other package error, 3 capacity
 error: a lattice over lattice.MAX_SITE_COORDS sites x d, a snapshot bank
-over lattice.MAX_BANK_SITES site-snapshots (both set from measured bytes
-per site) or a window over lattice.MAX_WINDOW_SITES sites, all refused
-at validation; exact over 16 sites, or a solve that does not converge.
+over lattice.MAX_BANK_SITES site-snapshots, a time-batch table over
+lattice.MAX_BATCH_CELLS cells (all three set from measured bytes) or a
+window over lattice.MAX_WINDOW_SITES sites, all refused at validation;
+exact over 16 sites, or a solve that does not converge.
 
 All tables are CSV with a fixed float representation, so a manifest and
 seed fully determine the output bytes, independent of --jobs.
@@ -33,7 +34,8 @@ from .coupling import CoupleParams, CylinderEvent, lemma1_experiment
 from .engine import ForestFireEngine, TrajectoryRecorder
 from .errors import CapacityError, FfpError, InvalidParameterError
 from .lattice import (MAX_WINDOW_SITES, build_topology, check_bank_cap,
-                      check_box_cap, config_to_string, read_edge_list)
+                      check_batch_cap, check_box_cap, config_to_string,
+                      read_edge_list)
 from .measure import (DEFAULT_BATCHES, SiteDensityObserver, default_burn_in,
                       estimate_marginal, mu_convergence_scan,
                       pattern_bitstring)
@@ -250,6 +252,7 @@ def _topology_from_manifest(manifest, cap=None):
 
 def _run_simulate(m, out, jobs):
     topology = _topology_from_manifest(m)
+    check_batch_cap(m["n_batches"], topology.n_sites)   # an edge file's sites
     seed = m["seed"]
     sampler = make_init_sampler(topology, m["lambda"], m["init"], seed,
                                 stream=(1,))
@@ -454,8 +457,9 @@ KINDS = tuple(_KINDS)
 
 def validate_manifest(manifest: dict, kind: str = None) -> dict:
     """Validate and fill defaults; raises ManifestError listing every
-    violation found, or CapacityError for a box, bank or window over its
-    bound, before any lattice is built or d-long default is filled."""
+    violation found, or CapacityError for a box, bank, window or batch
+    table over its bound, before any lattice is built or d-long default
+    is filled."""
     manifest = dict(manifest)
     mkind = manifest.get("kind", kind)
     if mkind is None:
@@ -476,6 +480,12 @@ def validate_manifest(manifest: dict, kind: str = None) -> dict:
     window = not problems and {tuple(c) for c in manifest.get("window", ())}
     if window and len(window) > MAX_WINDOW_SITES:
         raise CapacityError(f"window larger than {MAX_WINDOW_SITES} sites")
+    if not problems and "n_batches" in manifest:
+        # a batch row keys each visited window pattern, or each site; an
+        # edge file's sites are counted when it is read
+        keys = 1 << len(window) if window else (
+            (2 * radius + 1) ** d if box else 0)
+        check_batch_cap(manifest["n_batches"], keys)
     for rule in spec.rules:
         rule(manifest, problems)
     if problems:
@@ -500,32 +510,41 @@ def parse_manifest(path, kind: str = None) -> dict:
 
 
 def run_experiment(manifest: dict, out_dir, jobs: int = 1) -> dict:
-    """Run a validated manifest; writes CSV outputs plus run_info.json."""
+    """Run a validated manifest; writes CSV outputs plus run_info.json.
+    An output path that cannot be created or written (a file where a
+    directory must be, or the reverse) raises InvalidParameterError."""
     spec = _KINDS[manifest["kind"]]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    start = time.time()
-    if spec.sidecar:
-        (out / "geometry.json").write_text(json.dumps(
-            {key: manifest[key] for key in spec.sidecar.split()},
-            sort_keys=True, indent=2) + "\n")
-    if "replicas" in spec.fields and manifest["replicas"] == 0:
-        print("warning: replicas = 0, wrote header-only tables",
-              file=sys.stderr)
-        result = {"warning": "no replicas", **dict.fromkeys(spec.tables, [])}
-    else:
-        result = spec.run(manifest, out, jobs)
-    for name, header in spec.tables.items():
-        columns, rows = header.split(), result.pop(name)
-        for key, part in rows.items() if "{}" in name else [(None, rows)]:
-            write_csv(out / name.format(key), columns,
-                      (r if isinstance(r, tuple) else
-                       [getattr(r, c) for c in columns] for r in part))
-    info = {"manifest": manifest, "seed": manifest["seed"],
-            "version": __version__, "wall_time_s": time.time() - start,
-            **result}
-    (out / "run_info.json").write_text(
-        json.dumps(info, sort_keys=True, indent=2) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        start = time.time()
+        if spec.sidecar:
+            (out / "geometry.json").write_text(json.dumps(
+                {key: manifest[key] for key in spec.sidecar.split()},
+                sort_keys=True, indent=2) + "\n")
+        if "replicas" in spec.fields and manifest["replicas"] == 0:
+            print("warning: replicas = 0, wrote header-only tables",
+                  file=sys.stderr)
+            result = {"warning": "no replicas",
+                      **dict.fromkeys(spec.tables, [])}
+        else:
+            result = spec.run(manifest, out, jobs)
+        for name, header in spec.tables.items():
+            columns, rows = header.split(), result.pop(name)
+            for key, part in rows.items() if "{}" in name else [(None, rows)]:
+                write_csv(out / name.format(key), columns,
+                          (r if isinstance(r, tuple) else
+                           [getattr(r, c) for c in columns] for r in part))
+        info = {"manifest": manifest, "seed": manifest["seed"],
+                "version": __version__, "wall_time_s": time.time() - start,
+                **result}
+        (out / "run_info.json").write_text(
+            json.dumps(info, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        if exc.filename is None:    # not a path the run writes
+            raise
+        raise InvalidParameterError(
+            f"cannot write {exc.filename}: {exc.strerror}") from None
     return info
 
 
@@ -555,8 +574,13 @@ def summarize(out_dir) -> str:
 def _summ_csv(path, max_rows):
     if not Path(path).exists():
         return [f"missing: {path}"]
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ManifestError([f"cannot read {path}: {exc.strerror}"]) from None
+    except (ValueError, csv.Error) as exc:   # undecodable bytes, bad row
+        raise ManifestError([f"{path} is not a readable table: {exc}"]) from None
     lines = ["  " + ", ".join(r) for r in rows[:max_rows + 1]]
     if len(rows) > max_rows + 1:
         lines.append(f"  ... {len(rows) - 1} rows total")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blur import blur_geometry, epsilon_for, init_blur
+from .blur import blur_geometry, init_blur
 from .engine import Event, ForestFireEngine
 from .errors import InvalidParameterError
 from .lattice import TORUS, WINDOW, box_coords, build_topology
@@ -217,24 +217,3 @@ def lemma1_experiment(params: CoupleParams, event: CylinderEvent,
         raise InvalidParameterError("need at least one replica")
     experiment = CoupledExperiment(params, event)
     return lemma1_report(experiment, experiment.run_many(replicas, jobs))
-
-
-def lemma1_default_scan(seed, replicas) -> list[Lemma1Report]:
-    """Desk-scale scan on one fixed geometry: d = 2, lambda = 1, r_I = 0,
-    t = epsilon_for(1, 6) / 2, L in {1, 2}, k in {3..6}, K = 2k and the
-    default banks; the banks of the first experiment for each k are
-    shared with the others."""
-    t = 0.5 * epsilon_for(1, 6)
-    if replicas < 1:
-        raise InvalidParameterError("need at least one replica")
-    reports = []
-    for k in (3, 4, 5, 6):
-        banks = {}
-        for L in (1, 2):
-            params = CoupleParams(2, 1.0, 2 * k, k, 0, L, t, seed)
-            experiment = CoupledExperiment(params, None, **banks)
-            banks = {"window_bank": experiment.window_bank,
-                     "torus_bank": experiment.torus_bank}
-            reports.append(lemma1_report(experiment,
-                                         experiment.run_many(replicas)))
-    return reports

@@ -34,6 +34,12 @@ MAX_SITE_COORDS = 10**6
 MAX_BANK_SITES = 3 * 10**7
 # Largest window of a pattern measure, which keys up to 2^sites codes.
 MAX_WINDOW_SITES = 20
+# Largest time-batch table of simulate or stationary, as batches x (2 +
+# keys one row can credit: the sites, or the 2^sites window patterns).
+# A batch costs about 280 B and a row entry 100-140 B, so a batch counts
+# as two entries.  The bound admits the default 20 batches on the largest
+# lattice or window above: about 3 GB if every row credits every key.
+MAX_BATCH_CELLS = 3 * 10**7
 
 
 def check_box_cap(d: int, side: int, cap: int = None) -> None:
@@ -57,6 +63,13 @@ def check_bank_cap(snapshots: int, sites: int) -> None:
     if snapshots * sites > MAX_BANK_SITES:
         raise CapacityError(f"{snapshots} snapshots of {sites} sites exceed "
                             f"{MAX_BANK_SITES} site-snapshots")
+
+
+def check_batch_cap(n_batches: int, keys: int) -> None:
+    """Raise CapacityError over MAX_BATCH_CELLS batch cells."""
+    if n_batches * (2 + keys) > MAX_BATCH_CELLS:
+        raise CapacityError(f"{n_batches} time batches of {keys} keys exceed "
+                            f"{MAX_BATCH_CELLS} batch cells")
 
 
 def box_coords(d: int, k: int) -> list[Coord]:
@@ -254,20 +267,3 @@ def bernoulli_config(topology: Topology, p: float, rng) -> list[int]:
 def config_to_string(config) -> str:
     """One 0/1 character per site in canonical order."""
     return "".join("1" if v else "0" for v in config)
-
-
-def translate_permutation(topology: Topology, vec) -> list[int]:
-    """Site permutation induced by a torus translation.
-
-    Coordinates are shifted by ``vec`` modulo the opposite-face
-    identification; this is a graph automorphism of the torus.
-    """
-    if topology.mode != TORUS:
-        raise InvalidParameterError("translations are defined on torus topologies")
-    k = topology.radius
-    span = 2 * k + 1
-    perm = []
-    for c in topology.coords:
-        shifted = tuple((ci + vi + k) % span - k for ci, vi in zip(c, vec))
-        perm.append(topology.index_of[shifted])
-    return perm

@@ -19,9 +19,8 @@ from .engine import ForestFireEngine
 from .errors import (CapacityError, InvalidParameterError,
                      WindowMismatchError)
 from .lattice import (MAX_WINDOW_SITES, Coord, Topology, build_topology,
-                      check_box_cap, translate_permutation)
+                      check_box_cap)
 from .rng import make_rng
-from .stats import paired_se
 
 DEFAULT_STATE_CAP = 16
 DEFAULT_BATCHES = 20      # batch-means batches of an estimated measure
@@ -118,13 +117,6 @@ class EmpiricalMeasure:
         for code in sorted(self.weights):
             yield (pattern_bitstring(code, self.width), self.weights[code],
                    self.probability(code), self.stderr(code))
-
-
-def measure_from_probabilities(window, probs) -> EmpiricalMeasure:
-    """Wrap a plain code->probability mapping as a measure (no batches)."""
-    window = tuple(sorted(window))
-    weights = {c: p for c, p in probs.items() if p > 0}
-    return EmpiricalMeasure(window, weights, 1.0)
 
 
 def measure_from_snapshots(topology, window, snapshots) -> EmpiricalMeasure:
@@ -325,31 +317,6 @@ class ExactDistribution:
     balance_residual: float
     solver_iterations: int
 
-    def marginal(self, window) -> dict:
-        """Pattern-code probabilities on a window (coords or indices),
-        bit j of a code for the j-th site of the sorted window."""
-        return self._mass(canonical_window(self.topology, window))
-
-    def cylinder(self, event: CylinderEvent) -> float:
-        """P(event), bit j of a code for event.window[j] as in holds_on."""
-        mass = self._mass(event.window)
-        return sum(p for c, p in mass.items() if c in event.accept)
-
-    def _mass(self, window) -> dict:
-        codes = _pack(np.arange(self.probs.size),
-                      [self.topology.index_of[c] for c in window])
-        mass = np.bincount(codes, self.probs, minlength=1 << len(window))
-        return dict(enumerate(mass.tolist()))
-
-
-def _pack(states, sites):
-    """Codes of an integer array of states: bit j of a code is bit
-    sites[j] of its state."""
-    codes = np.zeros_like(states)
-    for j, site in enumerate(sites):
-        codes |= (states >> site & 1) << j
-    return codes
-
 
 def _build_generator(topology: Topology, lam: float):
     """Generator entries (rows, cols, rates) over the 2^N states, bit i
@@ -500,6 +467,12 @@ def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
     (Stewart 1994, ch. 4) and then normalised.  A solve that does not
     converge, or whose balance residual max|pi Q| exceeds BALANCE_TOL,
     raises CapacityError.
+
+    Limitation: with pi(empty) pinned to 1 the unknowns grow like
+    lam^-N, so on sparse explicit graphs at small lam (three isolated
+    sites at lam = 0.01) GMRES cannot meet its relative stopping test in
+    double precision, and a solve with a balance residual near 1e-18
+    still raises CapacityError.
     """
     if lam <= 0:
         raise InvalidParameterError("lambda must be positive")
@@ -525,20 +498,6 @@ def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
             f"stationary solve failed after {iterations} GMRES iterations: "
             f"balance residual {residual:.3e} (tolerance {BALANCE_TOL:.0e})")
     return ExactDistribution(topology, lam, pi, residual, iterations)
-
-
-def translation_invariance_defect(exact: ExactDistribution) -> float:
-    """Max probability change under one-step torus translations."""
-    topology, probs = exact.topology, exact.probs
-    states = np.arange(probs.size)
-    worst = 0.0
-    for axis in range(topology.dimension):
-        vec = tuple(int(a == axis) for a in range(topology.dimension))
-        # bit perm[i] of a state's image is bit i of the state
-        inverse = np.argsort(translate_permutation(topology, vec))
-        image = _pack(states, inverse)
-        worst = max(worst, float(np.abs(probs - probs[image]).max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +585,7 @@ class MaximalCoupling:
 
 
 # ---------------------------------------------------------------------------
-# Convergence scan and stationarity check
+# Convergence scan
 
 @dataclass
 class ScanRow:
@@ -666,47 +625,3 @@ def mu_convergence_scan(d, lam, window, k_list, burn_in, horizon, seed,
         tv, lo, hi = total_variation_ci(marginals[k0], marginals[k1], rng, n_boot)
         rows.append(ScanRow(k0, k1, tv, lo, hi))
     return ConvergenceScan(marginals, rows)
-
-
-@dataclass
-class StationarityReport:
-    lhs: float               # P(A) after evolving each snapshot for time t
-    rhs: float               # P(A) over the initial snapshots
-    se: float
-    replicas: int
-
-
-def stationarity_check(topology: Topology, lam, event: CylinderEvent, t,
-                       replicas, seed, burn_in=None) -> StationarityReport:
-    """Compare P(A) before and after evolving stationary snapshots by t.
-
-    Snapshots come from one long run at spacing 2.0; each is evolved
-    for time t with an independent stream, and the paired indicator
-    difference gives the standard error.
-    """
-    from .sampling import SnapshotBank
-    if t < 0:
-        raise InvalidParameterError("time must be nonnegative")
-    if replicas < 1:
-        raise InvalidParameterError("need at least one replica")
-    if burn_in is None:
-        burn_in = default_burn_in(topology.n_sites, 2.0 * replicas)
-    bank = SnapshotBank(topology, lam, replicas, 2.0, burn_in, seed)
-    diffs = []
-    before = 0
-    after = 0
-    for r, cfg in enumerate(bank.configs):
-        b = event.holds_on(cfg, topology)
-        if t > 0:
-            engine = ForestFireEngine(topology, lam, make_rng(seed, 20, r), cfg)
-            engine.run_until(t)
-            a = event.holds_on(engine.occ, topology)
-        else:
-            a = b
-        before += b
-        after += a
-        diffs.append(int(a) - int(b))
-    n = len(bank.configs)
-    lhs = after / n
-    rhs = before / n
-    return StationarityReport(lhs, rhs, paired_se(diffs), n)

@@ -1,0 +1,157 @@
+"""Reference routines that only the tests call.
+
+They check the paper's claims about the finite-volume laws that the
+package computes: exact window marginals and cylinder probabilities,
+translation invariance of the torus law, stationarity under evolution,
+and the Lemma 1 scan.  The exact oracles are plain loops over all 2^N
+states; a marginal adds each code's mass in increasing state order.
+"""
+
+from dataclasses import dataclass
+
+from ffp_lab.blur import epsilon_for
+from ffp_lab.coupling import (CoupledExperiment, CoupleParams, Lemma1Report,
+                              lemma1_report)
+from ffp_lab.engine import ForestFireEngine
+from ffp_lab.errors import InvalidParameterError
+from ffp_lab.lattice import TORUS, Topology
+from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure,
+                             ExactDistribution, canonical_window,
+                             default_burn_in)
+from ffp_lab.rng import make_rng
+from ffp_lab.sampling import SnapshotBank
+from ffp_lab.stats import paired_se
+
+
+def translate_permutation(topology: Topology, vec) -> list[int]:
+    """Site permutation induced by a torus translation.
+
+    Coordinates are shifted by ``vec`` modulo the opposite-face
+    identification; this is a graph automorphism of the torus.
+    """
+    if topology.mode != TORUS:
+        raise InvalidParameterError("translations are defined on torus topologies")
+    k = topology.radius
+    span = 2 * k + 1
+    perm = []
+    for c in topology.coords:
+        shifted = tuple((ci + vi + k) % span - k for ci, vi in zip(c, vec))
+        perm.append(topology.index_of[shifted])
+    return perm
+
+
+def measure_from_probabilities(window, probs) -> EmpiricalMeasure:
+    """Wrap a plain code->probability mapping as a measure (no batches)."""
+    window = tuple(sorted(window))
+    weights = {c: p for c, p in probs.items() if p > 0}
+    return EmpiricalMeasure(window, weights, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Exact oracles
+
+def _mass(exact: ExactDistribution, window) -> dict:
+    """Probability of each code, bit j of a code for window[j]."""
+    bits = [exact.topology.index_of[c] for c in window]
+    mass = dict.fromkeys(range(1 << len(bits)), 0.0)
+    for state, p in enumerate(exact.probs.tolist()):
+        code = sum(1 << j for j, site in enumerate(bits) if state >> site & 1)
+        mass[code] += p
+    return mass
+
+
+def exact_marginal(exact: ExactDistribution, window) -> dict:
+    """Pattern-code probabilities on a window (coords or indices),
+    bit j of a code for the j-th site of the sorted window."""
+    return _mass(exact, canonical_window(exact.topology, window))
+
+
+def exact_cylinder(exact: ExactDistribution, event: CylinderEvent) -> float:
+    """P(event), bit j of a code for event.window[j] as in holds_on."""
+    mass = _mass(exact, event.window)
+    return sum(p for c, p in mass.items() if c in event.accept)
+
+
+def translation_invariance_defect(exact: ExactDistribution) -> float:
+    """Max probability change under one-step torus translations."""
+    topology, probs = exact.topology, exact.probs.tolist()
+    n = topology.n_sites
+    worst = 0.0
+    for axis in range(topology.dimension):
+        vec = tuple(int(a == axis) for a in range(topology.dimension))
+        perm = translate_permutation(topology, vec)
+        for state, p in enumerate(probs):
+            # bit perm[i] of the state's image is bit i of the state
+            image = sum(1 << perm[i] for i in range(n) if state >> i & 1)
+            worst = max(worst, abs(p - probs[image]))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# Stationarity under evolution
+
+@dataclass
+class StationarityReport:
+    lhs: float               # P(A) after evolving each snapshot for time t
+    rhs: float               # P(A) over the initial snapshots
+    se: float
+    replicas: int
+
+
+def stationarity_check(topology: Topology, lam, event: CylinderEvent, t,
+                       replicas, seed, burn_in=None) -> StationarityReport:
+    """Compare P(A) before and after evolving stationary snapshots by t.
+
+    Snapshots come from one long run at spacing 2.0; each is evolved
+    for time t with an independent stream, and the paired indicator
+    difference gives the standard error.
+    """
+    if t < 0:
+        raise InvalidParameterError("time must be nonnegative")
+    if replicas < 1:
+        raise InvalidParameterError("need at least one replica")
+    if burn_in is None:
+        burn_in = default_burn_in(topology.n_sites, 2.0 * replicas)
+    bank = SnapshotBank(topology, lam, replicas, 2.0, burn_in, seed)
+    diffs = []
+    before = 0
+    after = 0
+    for r, cfg in enumerate(bank.configs):
+        b = event.holds_on(cfg, topology)
+        if t > 0:
+            engine = ForestFireEngine(topology, lam, make_rng(seed, 20, r), cfg)
+            engine.run_until(t)
+            a = event.holds_on(engine.occ, topology)
+        else:
+            a = b
+        before += b
+        after += a
+        diffs.append(int(a) - int(b))
+    n = len(bank.configs)
+    lhs = after / n
+    rhs = before / n
+    return StationarityReport(lhs, rhs, paired_se(diffs), n)
+
+
+# ---------------------------------------------------------------------------
+# Lemma 1 scan
+
+def lemma1_default_scan(seed, replicas) -> list[Lemma1Report]:
+    """Desk-scale scan on one fixed geometry: d = 2, lambda = 1, r_I = 0,
+    t = epsilon_for(1, 6) / 2, L in {1, 2}, k in {3..6}, K = 2k and the
+    default banks; the banks of the first experiment for each k are
+    shared with the others."""
+    t = 0.5 * epsilon_for(1, 6)
+    if replicas < 1:
+        raise InvalidParameterError("need at least one replica")
+    reports = []
+    for k in (3, 4, 5, 6):
+        banks = {}
+        for L in (1, 2):
+            params = CoupleParams(2, 1.0, 2 * k, k, 0, L, t, seed)
+            experiment = CoupledExperiment(params, None, **banks)
+            banks = {"window_bank": experiment.window_bank,
+                     "torus_bank": experiment.torus_bank}
+            reports.append(lemma1_report(experiment,
+                                         experiment.run_many(replicas)))
+    return reports

@@ -322,6 +322,30 @@ class TestExitCodes:
             assert err.startswith("capacity error: ")
             assert "site-snapshots" in err
 
+    def test_batches_over_the_bound_exit_3(self, tmp_path, monkeypatch,
+                                           capsys):
+        from ffp_lab import lattice
+
+        def refuse(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(lattice, "box_coords", refuse)
+        edges = tmp_path / "ring.edges"                    # 4 sites
+        edges.write_text("0 1\n1 2\n2 3\n3 0\n")
+        ring = {k: v for k, v in SIM.items() if k not in ("d", "k")}
+        # each manifest with its batches x (2 + keys a row can credit)
+        for m, cells in ((dict(SIM, n_batches=7), 7 * (2 + 9)),
+                         (dict(STAT, n_batches=7), 7 * (2 + 2)),
+                         (dict(ring, edge_file=str(edges)), 20 * (2 + 4))):
+            monkeypatch.setattr(lattice, "MAX_BATCH_CELLS", cells)
+            validate_manifest(m)                # at the bound it passes
+            monkeypatch.setattr(lattice, "MAX_BATCH_CELLS", cells - 1)
+            path = write_manifest(tmp_path, m)
+            assert main([m["kind"], "--manifest", str(path),
+                         "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("capacity error: ") and "batch cells" in err
+
     @pytest.mark.parametrize("manifest", [
         # the default 800 snapshots of the 491,401-site window
         {k: v for k, v in dict(COUPLE, K=350, k=3).items()
@@ -364,6 +388,30 @@ class TestExitCodes:
         assert main(["summarize", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "run_info.json" in err
+
+    @pytest.mark.parametrize("table", ["not-utf-8", "a-directory"])
+    def test_summarize_unreadable_table_exits_2(self, tmp_path, capsys, table):
+        (tmp_path / "run_info.json").write_text(json.dumps({"manifest": EXACT}))
+        if table == "a-directory":
+            (tmp_path / "exact.csv").mkdir()
+        else:
+            (tmp_path / "exact.csv").write_bytes(b"\xff\xfestate\n")
+        assert main(["summarize", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exact.csv" in err
+
+    @pytest.mark.parametrize("where", ["existing-file", "under-a-file",
+                                       "table-is-a-directory"])
+    def test_unusable_output_directory_exits_2(self, tmp_path, capsys, where):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        (tmp_path / "out" / "exact.csv").mkdir(parents=True)
+        out = {"existing-file": taken, "under-a-file": taken / "sub",
+               "table-is-a-directory": tmp_path / "out"}[where]
+        path = write_manifest(tmp_path, dict(EXACT, out=str(out)))
+        assert main(["exact", "--manifest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and str(out) in err
 
     def test_summarize_unhashable_kind_is_unknown(self, tmp_path, capsys):
         (tmp_path / "run_info.json").write_text('{"manifest": {"kind": ["x"]}}')

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from ffp_lab.errors import InvalidParameterError, InvalidSiteError
 from ffp_lab.lattice import (TORUS, WINDOW, box_coords, build_topology,
                              cluster_of, cluster_union, config_to_string,
-                             explicit_topology, read_edge_list, site_boundary,
-                             translate_permutation)
+                             explicit_topology, read_edge_list, site_boundary)
 from ffp_lab.rng import make_rng
+from oracles import translate_permutation
 
 
 def write_edge_list(topology, path):
