@@ -213,6 +213,14 @@ def _resolve_times(m, problems):
     return _TIMES.ok(m["t_list"], m)
 
 
+def _scan_batch_tables(m, problems):
+    """mu-scan keeps, per radius, DEFAULT_BATCHES rows keyed by window
+    patterns, so its tables are sized before any torus is built."""
+    if not problems:
+        check_batch_cap(DEFAULT_BATCHES * len(set(m["k_list"])),
+                        1 << len({tuple(c) for c in m["window"]}))
+
+
 def _couple_params(m):
     return CoupleParams(m["d"], m["lambda"], m["K"], m["k"], m["r_I"], m["L"],
                         m["t"], m["seed"], m["bank_snapshots"],
@@ -444,7 +452,8 @@ _KINDS = {
          "k_list": _Field(_list_of(_at_least(1)),
                           "a non-empty list of integers >= 1"),
          "horizon": _HORIZON, "burn_in": _MAYBE_BURN_IN},
-        lambda m: (m["d"], max(m["k_list"]), 0), (_horizon_after_burn_in,),
+        lambda m: (m["d"], max(m["k_list"]), 0),
+        (_horizon_after_burn_in, _scan_batch_tables),
         {"mu_scan.csv": "k_low k_high tv ci_low ci_high",
          "marginal_k{}.csv": _MEASURE},
         ("mu_scan.csv", 40, ""), _run_mu_scan),

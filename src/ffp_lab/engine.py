@@ -31,6 +31,7 @@ every attempt: ``on_event(engine, event, changed)``, where ``changed``
 is empty for a no-op.
 """
 
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import EventOrderError, InvalidParameterError, InvalidSiteError
@@ -46,6 +47,21 @@ class Event(NamedTuple):
     time: float
     site: int
     kind: str
+
+
+def _config_bytes(config) -> bytes:
+    """A configuration as one byte per site, refused unless every entry
+    is 0 or 1.  Bytes, lists and tuples convert at C speed; anything
+    else is read entry by entry, so an array whose items span several
+    bytes is never read as its raw buffer."""
+    try:
+        occ = bytes(config if isinstance(config, (bytes, list, tuple))
+                    else list(config))
+        if max(occ, default=0) <= 1:
+            return occ
+    except (TypeError, ValueError):     # a float, a negative, not a sequence
+        pass
+    raise InvalidParameterError("configuration entries must be 0 or 1")
 
 
 class ForestFireEngine:
@@ -66,7 +82,8 @@ class ForestFireEngine:
         n = topology.n_sites
         if n == 0:
             raise InvalidParameterError("topology has no sites")
-        self.occ = [0] * n if init_config is None else [int(v) for v in init_config]
+        self.occ = ([0] * n if init_config is None
+                    else list(_config_bytes(init_config)))
         if len(self.occ) != n:
             raise InvalidParameterError("initial configuration length mismatch")
         self.counts = {GROWTH: 0, IGNITION: 0}
@@ -80,8 +97,8 @@ class ForestFireEngine:
         occ, adj = self.occ, topology.adjacency
         label = self._label = list(range(n))
         members = self._members = {}
-        for r in range(n):
-            if occ[r] and label[r] == r:
+        for r in compress(range(n), occ):
+            if label[r] == r:
                 cluster = members[r] = [r]
                 for i in cluster:       # the list grows while it is read
                     for j in adj[i]:
@@ -245,9 +262,10 @@ class ForestFireEngine:
             self.effective[GROWTH] += grown
             self.effective["burn"] += burnt
 
-    def snapshot(self) -> tuple[int, ...]:
-        """Value copy of the current occupancy in canonical site order."""
-        return tuple(self.occ)
+    def snapshot(self) -> bytes:
+        """Value copy of the current occupancy in canonical site order,
+        one 0/1 byte per site."""
+        return bytes(self.occ)
 
 
 class TrajectoryRecorder:

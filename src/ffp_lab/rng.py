@@ -13,7 +13,9 @@ stationarity check (tests/oracles.py) keys (20, r).
 import numpy as np
 
 
-def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Return an independent generator keyed by (seed, *stream)."""
+def make_rng(seed: int, *stream: int) -> "np.random.Generator":
+    """Return an independent generator keyed by (seed, *stream); the
+    string annotation leaves numpy.random unloaded until a stream is
+    made."""
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))

@@ -3,8 +3,9 @@
 A SnapshotBank runs one long chain and keeps spaced snapshots; spacing
 of at least one expected relaxation interval keeps autocorrelation low.
 Replica samplers run an independent chain to a fixed time for every
-draw.  Both are consumed by the cluster-size checks, the stationarity
-check and the coupled experiments.
+draw.  Every sampler draws a configuration as bytes, one 0/1 byte per
+site in canonical order.  The samplers are consumed by the cluster-size
+checks, the stationarity check and the coupled experiments.
 """
 
 from collections import defaultdict
@@ -19,7 +20,7 @@ DEFAULT_SNAPSHOTS = 1000
 
 
 class SnapshotBank:
-    """Spaced snapshots of one long stationary run."""
+    """Spaced snapshots of one long stationary run, each held as bytes."""
 
     def __init__(self, topology: Topology, lam, n_snapshots, spacing, burn_in,
                  seed, stream=(0,)):
@@ -62,7 +63,7 @@ class VacantSampler:
         self.mode = "vacant"
 
     def sample(self, rng):
-        return (0,) * self.topology.n_sites
+        return bytes(self.topology.n_sites)
 
 
 class BernoulliSampler:
@@ -74,7 +75,7 @@ class BernoulliSampler:
         self.mode = f"bernoulli({p})"
 
     def sample(self, rng):
-        return tuple(bernoulli_config(self.topology, self.p, rng))
+        return bytes(bernoulli_config(self.topology, self.p, rng))
 
 
 class ReplicaSampler:
@@ -96,7 +97,7 @@ class ReplicaSampler:
     def sample(self, rng):
         init = self.init_sampler.sample(rng)
         if self.s == 0:
-            return tuple(init)
+            return init
         engine = ForestFireEngine(self.topology, self.lam, rng, init)
         engine.run_until(self.s)
         return engine.snapshot()

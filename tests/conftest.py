@@ -3,9 +3,12 @@ import pytest
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Replace the process pool of `ffp_lab.parallel` with one that runs
-    its initializer and each mapped call in this process; returns the
-    max_workers of every pool opened."""
+    """Replace the process pool that `ffp_lab.parallel.run_chunked`
+    imports from concurrent.futures with one that runs its initializer
+    and each mapped call in this process; returns the max_workers of
+    every pool opened."""
+    import concurrent.futures
+
     from ffp_lab import parallel
     sizes = []
     monkeypatch.setattr(parallel, "_run", None)   # restored after the test
@@ -24,5 +27,5 @@ def fake_pool(monkeypatch):
         def map(self, fn, iterable, chunksize):
             return [fn(x) for x in iterable]
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return sizes

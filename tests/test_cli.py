@@ -333,10 +333,12 @@ class TestExitCodes:
         edges = tmp_path / "ring.edges"                    # 4 sites
         edges.write_text("0 1\n1 2\n2 3\n3 0\n")
         ring = {k: v for k, v in SIM.items() if k not in ("d", "k")}
-        # each manifest with its batches x (2 + keys a row can credit)
+        # each manifest with its batches x (2 + keys a row can credit);
+        # mu-scan keeps 20 batches per distinct radius
         for m, cells in ((dict(SIM, n_batches=7), 7 * (2 + 9)),
                          (dict(STAT, n_batches=7), 7 * (2 + 2)),
-                         (dict(ring, edge_file=str(edges)), 20 * (2 + 4))):
+                         (dict(ring, edge_file=str(edges)), 20 * (2 + 4)),
+                         (dict(MU_SCAN, k_list=[2, 1, 2]), 2 * 20 * (2 + 2))):
             monkeypatch.setattr(lattice, "MAX_BATCH_CELLS", cells)
             validate_manifest(m)                # at the bound it passes
             monkeypatch.setattr(lattice, "MAX_BATCH_CELLS", cells - 1)
@@ -608,6 +610,26 @@ def test_pool_size_bounded_by_chunks_and_cpus(fake_pool):
     out = parallel.run_chunked(squares, 2, 5, jobs=10**6)
     assert out == [squares(2, r) for r in range(5)]
     assert fake_pool == [min(5, len(os.sched_getaffinity(0)))]
+
+
+def test_modules_load_only_where_a_run_uses_them(tmp_path):
+    """The CLI import loads neither the pool machinery nor numpy.random,
+    and an exact run, which draws no random number, leaves numpy.random
+    unloaded."""
+    code = ("import sys\n"
+            "from ffp_lab.cli import main\n"
+            "lazy = ('concurrent.futures', 'multiprocessing', 'numpy.random')\n"
+            "loaded = [m for m in lazy if m in sys.modules]\n"
+            "assert not loaded, f'{loaded} imported by ffp_lab.cli'\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "assert 'numpy.random' not in sys.modules, 'loaded by exact'\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "exact",
+         "--manifest", str(write_manifest(tmp_path, EXACT)),
+         "--out", str(tmp_path / "out")], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_import_leaves_scipy_unloaded():

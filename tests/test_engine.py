@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,30 @@ class TestRules:
         with pytest.raises(InvalidParameterError, match="no sites"):
             ForestFireEngine(Topology(1, None, EXPLICIT, [], []), 1.0,
                              make_rng(0))
+
+    @pytest.mark.parametrize("init", [
+        [0, 0.7, 1], [0, 1.0, 1], [0, 2, 1], [0, -1, 1], [0, None, 1],
+        "011", 3, b"\x00\x02\x01", np.array([0.0, 1.0, 1.0])])
+    def test_entries_other_than_0_or_1_refused(self, init):
+        topo = build_topology(1, 1, TORUS)                   # 3 sites
+        with pytest.raises(InvalidParameterError):
+            ForestFireEngine(topo, 1.0, make_rng(0), init)
+
+    def test_array_buffer_never_read_as_a_configuration(self):
+        """One int64 entry has an 8-byte buffer, as long as an 8-site
+        configuration; it is one entry, so the length is wrong."""
+        topo = explicit_topology(8, [(0, 1)])
+        with pytest.raises(InvalidParameterError, match="length"):
+            ForestFireEngine(topo, 1.0, make_rng(0), np.array([1], np.int64))
+
+    @pytest.mark.parametrize("init", [
+        [0, 1, 1], (0, True, 1), b"\x00\x01\x01", bytearray(b"\x00\x01\x01"),
+        np.array([0, 1, 1], dtype=np.int64), np.array([0, 1, 1], np.uint8)])
+    def test_configurations_read_entry_by_entry(self, init):
+        eng = ForestFireEngine(build_topology(1, 1, TORUS), 1.0, make_rng(0),
+                               init)
+        assert eng.occ == [0, 1, 1] and eng.snapshot() == b"\x00\x01\x01"
+        assert eng.cluster_members(1) == [1, 2]
 
 
 class TestClusterIndex:
