@@ -82,16 +82,20 @@ MANIFESTS = {
                         "seed": 9, "sampler": SMALL_BANK},
     "mu-scan": {"kind": "mu-scan", "lambda": 1.0, "d": 2, "window": [[0, 0]],
                 "k_list": [1, 2], "horizon": 20.0, "seed": 11},
-    # refused: a validation error (exit 2), a capacity error (exit 3) and
+    # refused: a validation error (exit 2), a capacity error (exit 3),
     # a default burn-in, max(10 x 9 sites, 8), not below the horizon (exit 2)
+    # and a window naming a site twice (exit 2)
     "refused-invalid": {"kind": "simulate", "lambda": -1.0, "d": 2, "k": 2},
     "refused-capacity": {"kind": "simulate", "lambda": 1.0, "d": 2,
                          "k": 10**4, "horizon": 1.0},
     "refused-burn-in": {"kind": "stationary", "lambda": 1.0, "d": 2, "k": 1,
                         "window": [[0, 0]], "horizon": 40.0, "burn_in": None},
+    "refused-duplicate": {"kind": "stationary", "lambda": 1.0, "d": 1,
+                          "k": 1, "window": [[0], [0]], "horizon": 5.0,
+                          "burn_in": 1.0},
 }
 EXIT_CODES = {"refused-invalid": 2, "refused-capacity": 3,
-              "refused-burn-in": 2}   # others: 0
+              "refused-burn-in": 2, "refused-duplicate": 2}   # others: 0
 
 
 def run(root, name, manifest, jobs, work):

@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .blur import blur_decay_experiment, epsilon_for
 from .ccsb import CcsbQuery, ccsb_check, cluster_size_tail
-from .coupling import CoupleParams, CylinderEvent, lemma1_experiment
+from .coupling import CoupleParams, lemma1_experiment
 from .engine import ForestFireEngine, TrajectoryRecorder
 from .errors import CapacityError, FfpError, InvalidParameterError
 from .lattice import (MAX_WINDOW_SITES, build_topology, check_bank_cap,
@@ -269,10 +269,10 @@ def _run_simulate(m, out, jobs):
     burn_in, horizon = m["burn_in"], m["horizon"]
     with (open(out / "trajectory.txt", "w") if m["dump_trajectory"]
           else contextlib.nullcontext()) as traj_fh:
-        listeners = [TrajectoryRecorder(traj_fh)] if traj_fh else []
-        engine.run_until(burn_in, listeners=listeners)
+        dump = [TrajectoryRecorder(traj_fh)] if traj_fh else []
+        engine.run_until(burn_in, observers=dump)
         obs = SiteDensityObserver(engine, burn_in, horizon, m["n_batches"])
-        engine.run_until(horizon, observers=(obs,), listeners=listeners)
+        engine.run_until(horizon, observers=(obs, *dump))
     dens, se = obs.densities()
     rows = [(i, " ".join(map(str, topology.coords[i])), float(dens[i]),
              float(se[i])) for i in range(topology.n_sites)]
@@ -330,8 +330,7 @@ def _run_ccsb(m, out, jobs):
 
 
 def _run_couple(m, out, jobs):
-    event = CylinderEvent.site_occupied((0,) * m["d"])
-    report = lemma1_experiment(_couple_params(m), event, m["replicas"],
+    report = lemma1_experiment(_couple_params(m), None, m["replicas"],
                                jobs=jobs)
     return {"records.csv": [(i, int(r.initial_J_equal), int(r.agree_on_I),
                              int(r.any_I_blurred), int(r.in_A_window),
@@ -489,6 +488,8 @@ def validate_manifest(manifest: dict, kind: str = None) -> dict:
     window = not problems and {tuple(c) for c in manifest.get("window", ())}
     if window and len(window) > MAX_WINDOW_SITES:
         raise CapacityError(f"window larger than {MAX_WINDOW_SITES} sites")
+    if window and len(window) < len(manifest["window"]):
+        problems.append("duplicate sites in window")
     if not problems and "n_batches" in manifest:
         # a batch row keys each visited window pattern, or each site; an
         # edge file's sites are counted when it is read

@@ -3,7 +3,7 @@
 Each realization pairs a forest-fire process on a large open window
 (radius K, frozen-vacant exterior) with one on a torus of radius k <= K.
 Both consume one site-attached event stream: the window engine's
-``run_until`` draws every attempt, and a listener replays each attempt
+``run_until`` draws every attempt, and an observer replays each attempt
 on a site of the torus box on the torus engine, which never sees the
 rest.  Their initial configurations are drawn from a maximal coupling of
 the two estimated marginals on the box J.  The blur process started on
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blur import blur_geometry, init_blur
-from .engine import Event, ForestFireEngine
+from .engine import GROWTH, IGNITION, Event, ForestFireEngine
 from .errors import InvalidParameterError
 from .lattice import TORUS, WINDOW, box_coords, build_topology
 from .measure import (CylinderEvent, MaximalCoupling, measure_from_snapshots,
@@ -130,7 +130,7 @@ class CoupledExperiment:
         t_engine = ForestFireEngine(self.torus_topo, p.lam, rng, cfg_t)
         tracker = init_blur(w_engine, self._blur_geometry)
         mirror = _TorusMirror(t_engine, self._to_torus)
-        w_engine.run_until(p.t, observers=(tracker,), listeners=(mirror,))
+        w_engine.run_until(p.t, observers=(tracker, mirror))
 
         occ_w, occ_t = w_engine.occ, t_engine.occ
         agree = all(occ_w[iw] == occ_t[it]
@@ -151,17 +151,18 @@ class CoupledExperiment:
 
 
 class _TorusMirror:
-    """Window-engine listener replaying each attempt on a torus-box site
+    """Window-engine observer replaying each attempt on a torus-box site
     on the torus engine, so both chains consume one event stream."""
 
     def __init__(self, t_engine, to_torus):
         self.t_engine = t_engine
         self.to_torus = to_torus
 
-    def on_event(self, engine, event, changed):
-        ti = self.to_torus[event.site]
+    def on_attempt(self, engine, site, growth):
+        ti = self.to_torus[site]
         if ti is not None:
-            self.t_engine.apply_event(Event(event.time, ti, event.kind))
+            self.t_engine.apply_event(
+                Event(engine.clock, ti, GROWTH if growth else IGNITION))
 
 
 @dataclass

@@ -22,13 +22,14 @@ needed.  Draws are buffered in fixed-size chunks of (holding time,
 site, kind) triples, so the random stream consumed depends only on
 the number of events drawn.
 
-``run_until`` drives two kinds of callbacks.  Observers see state
-changes only: ``on_event(engine, changed)`` right after each effective
-event, with ``engine.clock`` at its time, and ``accumulate(engine)``
-once per call, with ``engine.clock`` at the horizon; each method is
-optional, and no-op attempts cost an observer nothing.  Listeners see
-every attempt: ``on_event(engine, event, changed)``, where ``changed``
-is empty for a no-op.
+``run_until`` drives observers, each with up to three optional
+methods: ``on_event(engine, changed)`` right after each effective event,
+``on_attempt(engine, site, growth)`` after every attempt, no-ops
+included, both with ``engine.clock`` at its time, and
+``accumulate(engine)`` once per call, with ``engine.clock`` at the
+horizon.  An observer without ``on_attempt`` costs nothing on a no-op,
+and for one effective attempt every ``on_event`` runs before any
+``on_attempt``.
 """
 
 from itertools import compress
@@ -185,17 +186,16 @@ class ForestFireEngine:
         self.effective["burn"] += 1
         return self._burn(site)
 
-    def run_until(self, T, observers=(), listeners=()):
+    def run_until(self, T, observers=()):
         """Advance the trajectory to time T.
 
-        Observers get ``on_event(engine, changed)`` after each effective
-        event only, and ``accumulate(engine)`` once, when the clock has
-        reached T; each method is optional.  Listeners get
-        ``on_event(engine, event, changed)`` after every attempt,
-        no-ops included.  The event sampled past T is drawn and
-        discarded, which is exact by memorylessness of the exponential
-        clocks.  Attempt counts are written back even if a callback
-        raises.
+        Each observer method is optional: ``on_event(engine, changed)``
+        runs after each effective event, then ``on_attempt(engine, site,
+        growth)`` after every attempt, no-ops included, and
+        ``accumulate(engine)`` once, when the clock has reached T.  The
+        event sampled past T is drawn and discarded, which is exact by
+        memorylessness of the exponential clocks.  Attempt counts are
+        written back even if a callback raises.
         """
         if T < self.clock:
             raise InvalidParameterError("horizon lies in the past")
@@ -205,6 +205,8 @@ class ForestFireEngine:
                 acc(self)
             return self
         changers = [ob.on_event for ob in observers if hasattr(ob, "on_event")]
+        attempters = [ob.on_attempt for ob in observers
+                      if hasattr(ob, "on_attempt")]
         occ, occupy, burn = self.occ, self._occupy, self._burn
         p_growth = self._p_growth
         i = self._i
@@ -246,13 +248,10 @@ class ForestFireEngine:
                         self.clock = clock
                         for on_event in changers:
                             on_event(self, changed)
-                elif listeners:
-                    changed = []
-                if listeners:
+                if attempters:
                     self.clock = clock
-                    event = Event(clock, site, GROWTH if growth else IGNITION)
-                    for li in listeners:
-                        li.on_event(self, event, changed)
+                    for on_attempt in attempters:
+                        on_attempt(self, site, growth)
         finally:
             self._i = i
             self.clock = clock
@@ -269,10 +268,11 @@ class ForestFireEngine:
 
 
 class TrajectoryRecorder:
-    """Listener writing one "time site kind" line per applied event."""
+    """Observer writing one "time site kind" line per attempt."""
 
     def __init__(self, fh):
         self.fh = fh
 
-    def on_event(self, engine, event, changed):
-        self.fh.write(f"{event.time!r} {event.site} {event.kind}\n")
+    def on_attempt(self, engine, site, growth):
+        kind = GROWTH if growth else IGNITION
+        self.fh.write(f"{engine.clock!r} {site} {kind}\n")

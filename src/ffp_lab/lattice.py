@@ -179,9 +179,10 @@ def explicit_topology(n_sites: int, edges) -> Topology:
     return Topology(1, None, EXPLICIT, coords, [sorted(s) for s in adjacency])
 
 
-def read_edges(path) -> tuple[int, list]:
-    """Parse an edge file, one "i j" pair per line, into the site count
-    (one past the largest index) and the edge list.
+def read_edge_list(path, cap: int = None) -> Topology:
+    """Read an explicit graph from an edge file, one "i j" pair per line,
+    on sites 0 to the largest index; refused over cap (see
+    check_box_cap) before it is built.
 
     An unreadable file or a malformed line raises InvalidParameterError
     naming the file (and the line).
@@ -206,13 +207,6 @@ def read_edges(path) -> tuple[int, list]:
                 f"got {line!r}") from None
         edges.append((i, j))
         n = max(n, i + 1, j + 1)
-    return n, edges
-
-
-def read_edge_list(path, cap: int = None) -> Topology:
-    """Read an explicit graph from an edge file (see read_edges), refused
-    over cap (see check_box_cap) before it is built."""
-    n, edges = read_edges(path)
     check_box_cap(1, n, cap)
     return explicit_topology(n, edges)
 

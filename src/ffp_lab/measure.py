@@ -21,6 +21,7 @@ from .errors import (CapacityError, InvalidParameterError,
 from .lattice import (MAX_WINDOW_SITES, Coord, Topology, build_topology,
                       check_box_cap)
 from .rng import make_rng
+from .stats import paired_se
 
 DEFAULT_STATE_CAP = 16
 DEFAULT_BATCHES = 20      # batch-means batches of an estimated measure
@@ -106,11 +107,7 @@ class EmpiricalMeasure:
 
     def stderr(self, code: int) -> float:
         """Batch-means standard error of one pattern probability."""
-        if len(self.batches) < 2:
-            return 0.0
-        props = [w.get(code, 0.0) / size for size, w in self.batches if size > 0]
-        arr = np.asarray(props)
-        return float(arr.std(ddof=1) / math.sqrt(arr.size))
+        return paired_se([w.get(code, 0.0) / size for size, w in self.batches])
 
     def rows(self):
         """CSV rows: pattern bitstring, weight, probability, stderr."""

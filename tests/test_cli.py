@@ -456,6 +456,8 @@ class TestExitCodes:
         (dict(SIM, init={"kind": "x"}), "init must be"),
         (dict(CCSB, sampler={"kind": "x"}), "sampler must be"),
         (dict(SIM, seed="x"), "seed must be"),
+        (dict(STAT, window=[[0, 0], [0, 0]]), "duplicate sites in window"),
+        (dict(MU_SCAN, window=[[0], [0]]), "duplicate sites in window"),
     ], ids=["window-outside-box", "empty-window", "probe-outside-window",
             "bool-lambda", "window-item-not-coord", "L_list-not-int",
             "empty-t_list", "zero-batches", "infinite-horizon",
@@ -464,17 +466,21 @@ class TestExitCodes:
             "sampler-s-not-number", "delta-not-number",
             "bank_snapshots-not-int", "edge_file-not-path",
             "edge_file-missing", "edge_file-bad-line", "unknown-init-kind",
-            "unknown-sampler-kind", "seed-not-int"])
+            "unknown-sampler-kind", "seed-not-int", "duplicate-window",
+            "mu-scan-duplicate-window"])
     def test_bad_manifest_exits_2(self, tmp_path, capsys, monkeypatch,
                                   manifest, problem):
         monkeypatch.chdir(tmp_path)   # relative edge files live here
         (tmp_path / "bad.edges").write_text("0 1\n1 2 3\n")
+        sizes = self.built_sizes(monkeypatch)
         path = write_manifest(tmp_path, manifest)
         assert main([manifest["kind"], "--manifest", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert problem in err
+        if problem == "duplicate sites in window":   # refused at validation
+            assert sizes == [] and not (tmp_path / "out").exists()
 
 
 class TestOutputs:

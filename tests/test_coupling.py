@@ -3,7 +3,7 @@ import pytest
 from ffp_lab.blur import blur_geometry, init_blur
 from ffp_lab.coupling import (CoupledExperiment, CoupledRecord, CoupleParams,
                               lemma1_experiment, lemma1_report)
-from ffp_lab.engine import Event, ForestFireEngine
+from ffp_lab.engine import GROWTH, IGNITION, Event, ForestFireEngine
 from ffp_lab.errors import InvalidParameterError
 from ffp_lab.measure import CylinderEvent
 from ffp_lab.rng import make_rng
@@ -20,8 +20,9 @@ class Recorder:
     def __init__(self):
         self.attempts = []
 
-    def on_event(self, engine, event, changed):
-        self.attempts.append(event)
+    def on_attempt(self, engine, site, growth):
+        self.attempts.append(
+            Event(engine.clock, site, GROWTH if growth else IGNITION))
 
 
 class TestValidation:
@@ -70,7 +71,7 @@ class TestRuns:
             geometry = blur_geometry(wt, [wt.index_of[c] for c in exp.J])
             blur = init_blur(window, geometry)
             recorder = Recorder()
-            window.run_until(p.t, observers=(blur,), listeners=(recorder,))
+            window.run_until(p.t, observers=(blur, recorder))
             torus = ForestFireEngine(tt, p.lam, make_rng(0), cfg_t)
             replayed = 0
             for ev in recorder.attempts:

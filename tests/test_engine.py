@@ -222,7 +222,7 @@ class TestRunUntil:
         eng = make_engine(seed=7)
         path = tmp_path / "traj.txt"
         with open(path, "w") as fh:
-            eng.run_until(1.0, listeners=(TrajectoryRecorder(fh),))
+            eng.run_until(1.0, observers=(TrajectoryRecorder(fh),))
         lines = path.read_text().splitlines()
         assert len(lines) == sum(eng.counts.values())
         t_prev = 0.0
@@ -293,29 +293,62 @@ class TestStreamPreserved:
         assert self.finish(a) == self.finish(b)
         assert len(ob.times) == sum(b.effective.values())
 
-    def test_listener_does_not_change_stream(self, tmp_path):
+    def test_trajectory_recorder_does_not_change_stream(self, tmp_path):
         a, b = make_engine(seed=13), make_engine(seed=13)
         a.run_until(4.0)
         with open(tmp_path / "traj.txt", "w") as fh:
-            b.run_until(4.0, listeners=(TrajectoryRecorder(fh),))
+            b.run_until(4.0, observers=(TrajectoryRecorder(fh),))
         assert self.finish(a) == self.finish(b)
 
-    def test_counts_written_back_when_a_listener_raises(self):
+    def test_counts_written_back_when_on_attempt_raises(self):
         class Stop(Exception):
             pass
 
         class StopAtFifth:
             seen = 0
 
-            def on_event(self, engine, event, changed):
+            def on_attempt(self, engine, site, growth):
                 self.seen += 1
-                self.time = event.time
+                self.time = engine.clock
                 if self.seen == 5:
                     raise Stop
 
         eng = make_engine(seed=14)
-        li = StopAtFifth()
+        ob = StopAtFifth()
         with pytest.raises(Stop):
-            eng.run_until(10.0, listeners=(li,))
+            eng.run_until(10.0, observers=(ob,))
         assert sum(eng.counts.values()) == 5
-        assert eng.clock == li.time
+        assert eng.clock == ob.time
+
+    def test_one_observer_with_all_three_methods(self):
+        """on_attempt runs once per attempt and on_event once per
+        effective event, first and at the same clock; the stream is
+        that of a bare run."""
+        class Log:
+            def __init__(self):
+                self.calls = []
+
+            def on_event(self, engine, changed):
+                assert changed
+                self.calls.append(("event", engine.clock))
+
+            def on_attempt(self, engine, site, growth):
+                self.calls.append(("attempt", engine.clock))
+
+            def accumulate(self, engine):
+                self.calls.append(("accumulate", engine.clock))
+
+        a, b = make_engine(seed=16), make_engine(seed=16)
+        ob = Log()
+        for T in (2.0, 4.0):
+            a.run_until(T)
+            b.run_until(T, observers=(ob,))
+        assert self.finish(a) == self.finish(b)
+        kinds = [kind for kind, _ in ob.calls]
+        assert kinds.count("attempt") == sum(b.counts.values())
+        assert kinds.count("event") == sum(b.effective.values())
+        assert 0 < kinds.count("event") < kinds.count("attempt")
+        assert kinds.count("accumulate") == 2
+        for (kind, t), (after, t_after) in zip(ob.calls, ob.calls[1:]):
+            if kind == "event":     # its own attempt comes next
+                assert (after, t_after) == ("attempt", t)

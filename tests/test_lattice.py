@@ -11,7 +11,7 @@ from oracles import translate_permutation
 
 
 def write_edge_list(topology, path):
-    """One "i j" line per edge, i < j: the edge-file format read_edges reads."""
+    """One "i j" line per edge, i < j: the edge-file format read_edge_list reads."""
     with open(path, "w") as fh:
         for i, nbs in enumerate(topology.adjacency):
             for j in nbs:
