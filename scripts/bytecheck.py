@@ -82,6 +82,15 @@ MANIFESTS = {
                         "seed": 9, "sampler": SMALL_BANK},
     "mu-scan": {"kind": "mu-scan", "lambda": 1.0, "d": 2, "window": [[0, 0]],
                 "k_list": [1, 2], "horizon": 20.0, "seed": 11},
+    # long chains with observers, crossing several 4,096-draw chunks:
+    # about 12.7 k attempts, each dumped, and about 18 k attempts
+    "simulate-chunks": {"kind": "simulate", "lambda": 0.3, "d": 2, "k": 3,
+                        "horizon": 200.0, "burn_in": 5.0, "seed": 17,
+                        "dump_trajectory": True},
+    "stationary-chunks": {"kind": "stationary", "lambda": 1.0, "d": 2,
+                          "k": 1, "mode": "torus",
+                          "window": [[0, 0], [1, 0]], "horizon": 1000.0,
+                          "burn_in": 10.0, "seed": 19},
     # refused: a validation error (exit 2), a capacity error (exit 3),
     # a default burn-in, max(10 x 9 sites, 8), not below the horizon (exit 2)
     # and a window naming a site twice (exit 2)

@@ -60,8 +60,8 @@ def blur_geometry(topology: Topology, S) -> BlurGeometry:
 
 def init_blur(engine, geometry: BlurGeometry) -> "BlurTracker":
     """The blur process of S started on an engine's configuration: N(S)
-    plus the cluster of every occupied probe site, read from the
-    engine's cluster index.  No "touches a mark" test is needed here:
+    plus the cluster of every occupied probe site, flooded by the
+    engine's ``cluster_members``.  No "touches a mark" test is needed here:
     a probe-set cluster touches N(S) by construction."""
     tracker = BlurTracker(geometry)
     occ, seen = engine.occ, set()
@@ -83,7 +83,7 @@ class BlurTracker:
     a property of the site, not of the tree.  A single pass suffices
     because vacant sites are never newly marked, so marks cannot jump a
     vacant gap within one event.  The cluster comes from the engine's
-    incremental cluster index instead of a fresh traversal.
+    ``cluster_members``, flooded on demand from its occupancy.
     """
 
     def __init__(self, geometry: BlurGeometry):

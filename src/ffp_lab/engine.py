@@ -12,15 +12,16 @@ growth with probability 1/(1+lambda).  Attempts on wrong-state sites are
 kept as no-ops, which makes the sampling exact regardless of the current
 configuration.
 
-Cluster membership is kept as a label per occupied site and a members
-list per label, built at construction by one flood-fill labelling
-(Hoshen & Kopelman, PRB 14, 3438, 1976).  A growth merges clusters by
-size, relabelling the smaller one; a live label is always one of its
-own sites.  Fires always remove whole clusters, so a burn retires a
-label with all its sites; no fully dynamic connectivity structure is
-needed.  Draws are buffered in fixed-size chunks of (holding time,
-site, kind) triples, so the random stream consumed depends only on
-the number of events drawn.
+The engine keeps occupancy only.  A growth sets its site; a fire
+floods the struck cluster from the struck site and vacates it as it
+goes, so a cluster is found only when it burns (or when
+``cluster_members`` asks for it), never tracked on a growth.  Draws are
+buffered in fixed-size chunks of (holding time, site, kind) triples, so
+the random stream consumed depends only on the number of events drawn.
+``run_until`` decodes each chunk in numpy blocks sized from the expected
+number of attempts before the horizon: the clocks are one sequential
+``cumsum`` (the same doubles as adding one holding time at a time), the
+stop is one ``searchsorted``, and Python then only applies each attempt.
 
 ``run_until`` drives observers, each with up to three optional
 methods: ``on_event(engine, changed)`` right after each effective event,
@@ -32,8 +33,11 @@ and for one effective attempt every ``on_event`` runs before any
 ``on_attempt``.
 """
 
-from itertools import compress
+import math
+from operator import length_hint
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EventOrderError, InvalidParameterError, InvalidSiteError
 from .lattice import Topology
@@ -42,6 +46,7 @@ GROWTH = "growth"
 IGNITION = "ignition"
 
 _CHUNK = 4096
+_MARGIN = 16                    # draws decoded past the expected count
 
 
 class Event(NamedTuple):
@@ -68,9 +73,8 @@ def _config_bytes(config) -> bytes:
 class ForestFireEngine:
     """One forest-fire trajectory on a finite topology.
 
-    An engine owns its configuration, clock, cluster index and random
-    stream; it is single-threaded but cheap to replicate with
-    independent streams.
+    An engine owns its configuration, clock and random stream; it is
+    single-threaded but cheap to replicate with independent streams.
     """
 
     def __init__(self, topology: Topology, lam: float, rng, init_config=None):
@@ -93,65 +97,39 @@ class ForestFireEngine:
         self._p_growth = 1.0 / (1.0 + self.lam)
         self._i = _CHUNK                # next unread draw of the chunk
 
-        # A labelled site carries a lower label, so an occupied r with
-        # label[r] == r starts a new cluster.
-        occ, adj = self.occ, topology.adjacency
-        label = self._label = list(range(n))
-        members = self._members = {}
-        for r in compress(range(n), occ):
-            if label[r] == r:
-                cluster = members[r] = [r]
-                for i in cluster:       # the list grows while it is read
-                    for j in adj[i]:
-                        if occ[j] and label[j] != r:
-                            label[j] = r
-                            cluster.append(j)
-
     def cluster_members(self, site) -> list[int]:
-        """Members of the occupied cluster of a site ([] if vacant)."""
+        """Members of the occupied cluster of a site, in flood order from
+        it ([] if vacant)."""
         i = self.topology.site_index(site)
         if not self.occ[i]:
             return []
-        return self._members[self._label[i]]
+        cluster = self._burn(i)         # flood by vacating, then restore
+        for m in cluster:
+            self.occ[m] = 1
+        return cluster
 
     # ---- dynamics ----
 
     def _refill(self):
-        """Draw the next chunk, held as memoryviews, whose items index as
-        Python floats and ints at no per-chunk conversion cost."""
+        """Draw the next chunk of holding times, sites and uniforms."""
         rng = self.rng
-        self._dt = memoryview(rng.exponential(self._scale, _CHUNK))
-        self._site = memoryview(rng.integers(0, len(self.occ), _CHUNK))
-        self._u = memoryview(rng.random(_CHUNK))
+        self._dt = rng.exponential(self._scale, _CHUNK)
+        self._site = rng.integers(0, len(self.occ), _CHUNK)
+        self._u = rng.random(_CHUNK)
         self._i = 0
 
-    def _occupy(self, site):
-        """Growth on a vacant site: merge by size with the cluster of each
-        occupied neighbour, relabelling the smaller one; the grown site's
-        cluster wins a tie."""
-        occ, label, members = self.occ, self._label, self._members
-        occ[site] = 1
-        label[site] = root = site
-        mine = members[site] = [site]
-        for j in self.topology.adjacency[site]:
-            if occ[j]:
-                other = label[j]
-                if other != root:
-                    theirs = members[other]
-                    if len(mine) < len(theirs):
-                        root, other, mine, theirs = other, root, theirs, mine
-                    for m in theirs:
-                        label[m] = root
-                    mine.extend(theirs)
-                    del members[other]
-
     def _burn(self, site) -> list[int]:
-        """Vacate the cluster of an occupied site; returns its members."""
-        members = self._members.pop(self._label[site])
-        occ = self.occ
-        for m in members:
-            occ[m] = 0
-        return members
+        """Vacate the cluster of an occupied site; returns its members in
+        flood order from the site."""
+        occ, adj = self.occ, self.topology.adjacency
+        occ[site] = 0
+        cluster = [site]
+        for i in cluster:               # the list grows while it is read
+            for j in adj[i]:
+                if occ[j]:
+                    occ[j] = 0
+                    cluster.append(j)
+        return cluster
 
     def next_event(self) -> Event:
         """Sample the next event and advance the clock to it."""
@@ -159,9 +137,9 @@ class ForestFireEngine:
             self._refill()
         i = self._i
         self._i = i + 1
-        self.clock += self._dt[i]
+        self.clock += float(self._dt[i])
         kind = GROWTH if self._u[i] < self._p_growth else IGNITION
-        return Event(self.clock, self._site[i], kind)
+        return Event(self.clock, int(self._site[i]), kind)
 
     def apply_event(self, event: Event) -> list[int]:
         """Apply one event; returns the list of sites whose state flipped."""
@@ -178,7 +156,7 @@ class ForestFireEngine:
         if kind == GROWTH:
             if self.occ[site]:
                 return []
-            self._occupy(site)
+            self.occ[site] = 1
             self.effective[GROWTH] += 1
             return [site]
         if not self.occ[site]:
@@ -187,16 +165,19 @@ class ForestFireEngine:
         return self._burn(site)
 
     def run_until(self, T, observers=()):
-        """Advance the trajectory to time T.
+        """Advance the trajectory to a finite time T.
 
         Each observer method is optional: ``on_event(engine, changed)``
         runs after each effective event, then ``on_attempt(engine, site,
         growth)`` after every attempt, no-ops included, and
-        ``accumulate(engine)`` once, when the clock has reached T.  The
-        event sampled past T is drawn and discarded, which is exact by
-        memorylessness of the exponential clocks.  Attempt counts are
-        written back even if a callback raises.
+        ``accumulate(engine)`` once, when the clock has reached T.  A
+        burn's ``changed`` lists the cluster in flood order from the
+        struck site.  The event sampled past T is drawn and discarded,
+        which is exact by memorylessness of the exponential clocks.
+        Attempt counts are written back even if a callback raises.
         """
+        if not math.isfinite(T):
+            raise InvalidParameterError("horizon must be finite")
         if T < self.clock:
             raise InvalidParameterError("horizon lies in the past")
         closers = [ob.accumulate for ob in observers if hasattr(ob, "accumulate")]
@@ -207,51 +188,60 @@ class ForestFireEngine:
         changers = [ob.on_event for ob in observers if hasattr(ob, "on_event")]
         attempters = [ob.on_attempt for ob in observers
                       if hasattr(ob, "on_attempt")]
-        occ, occupy, burn = self.occ, self._occupy, self._burn
-        p_growth = self._p_growth
-        i = self._i
-        if i < _CHUNK:
-            dts, sites, us = self._dt, self._site, self._u
-        clock = self.clock
+        occ, burn = self.occ, self._burn
+        p_growth, rate = self._p_growth, len(occ) * (1.0 + self.lam)
+        i, clock = self._i, self.clock
         drawn = -i                      # drawn + i: draws taken in this call
         growths = grown = burnt = 0
         try:
             while True:
                 if i == _CHUNK:
                     self._refill()
-                    dts, sites, us = self._dt, self._site, self._u
                     drawn += _CHUNK
                     i = 0
-                t_next = clock + dts[i]
-                if t_next > T:
+                # a block of the expected attempts before T, and a margin
+                end = i + int(min((T - clock) * rate + _MARGIN, _CHUNK - i))
+                ts = self._dt[i:end].copy()
+                ts[0] += clock
+                np.cumsum(ts, out=ts)
+                n = int(ts.searchsorted(T, side="right"))
+                grows = self._u[i:i + n] < p_growth
+                clocks = ts[:n].tolist()
+                pending = iter(clocks)  # what it has not yielded is untaken
+                try:
+                    for t, site, growth in zip(
+                            pending, self._site[i:i + n].tolist(),
+                            grows.tolist()):
+                        # a vacant site grows, or an occupied one burns
+                        if occ[site] != growth:
+                            if growth:
+                                occ[site] = 1
+                                grown += 1
+                                changed = [site]
+                            else:
+                                changed = burn(site)
+                                burnt += 1
+                            if changers:
+                                self.clock = t
+                                for on_event in changers:
+                                    on_event(self, changed)
+                        if attempters:
+                            self.clock = t
+                            for on_attempt in attempters:
+                                on_attempt(self, site, growth)
+                finally:                # taken < n only if a callback raised
+                    taken = n - length_hint(pending)
+                    growths += int(np.count_nonzero(grows[:taken]))
+                    i += taken
+                    if taken:
+                        clock = clocks[taken - 1]
+                if n < len(ts):         # ts[n] lies past T
                     i += 1
                     drawn -= 1          # the discarded draw is no attempt
                     clock = self.clock = T
                     for acc in closers:
                         acc(self)
                     return self
-                site = sites[i]
-                growth = us[i] < p_growth
-                effective = not occ[site] if growth else occ[site]
-                i += 1
-                growths += growth
-                clock = t_next
-                if effective:
-                    if growth:
-                        occupy(site)
-                        grown += 1
-                        changed = [site]
-                    else:
-                        changed = burn(site)
-                        burnt += 1
-                    if changers:
-                        self.clock = clock
-                        for on_event in changers:
-                            on_event(self, changed)
-                if attempters:
-                    self.clock = clock
-                    for on_attempt in attempters:
-                        on_attempt(self, site, growth)
         finally:
             self._i = i
             self.clock = clock

@@ -5,14 +5,19 @@ package computes: exact window marginals and cylinder probabilities,
 translation invariance of the torus law, stationarity under evolution,
 and the Lemma 1 scan.  The exact oracles are plain loops over all 2^N
 states; a marginal adds each code's mass in increasing state order.
+``LabelledEngine`` is the engine as it was before ``run_until`` decoded
+its draws in numpy blocks: one scalar step per draw, and a cluster-label
+index kept on every growth.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 
 from ffp_lab.blur import epsilon_for
 from ffp_lab.coupling import (CoupledExperiment, CoupleParams, Lemma1Report,
                               lemma1_report)
-from ffp_lab.engine import ForestFireEngine
+from ffp_lab.engine import (_CHUNK, GROWTH, IGNITION, Event,
+                            ForestFireEngine, _config_bytes)
 from ffp_lab.errors import InvalidParameterError
 from ffp_lab.lattice import TORUS, Topology
 from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure,
@@ -155,3 +160,171 @@ def lemma1_default_scan(seed, replicas) -> list[Lemma1Report]:
             reports.append(lemma1_report(experiment,
                                          experiment.run_many(replicas)))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# Reference engine
+
+class LabelledEngine:
+    """The forest-fire engine with a scalar ``run_until`` loop and a
+    cluster-label index (Hoshen & Kopelman, PRB 14, 3438, 1976): a growth
+    merges clusters by size, relabelling the smaller one, and a burn
+    retires a label with all its sites.  It reads the same draws in the
+    same order as ``ForestFireEngine``."""
+
+    def __init__(self, topology: Topology, lam: float, rng, init_config=None):
+        if lam <= 0:
+            raise InvalidParameterError("lambda must be positive")
+        self.topology = topology
+        self.lam = float(lam)
+        self.rng = rng
+        self.clock = 0.0
+        n = topology.n_sites
+        self.occ = ([0] * n if init_config is None
+                    else list(_config_bytes(init_config)))
+        if len(self.occ) != n:
+            raise InvalidParameterError("initial configuration length mismatch")
+        self.counts = {GROWTH: 0, IGNITION: 0}
+        self.effective = {GROWTH: 0, "burn": 0}
+        self._scale = 1.0 / (n * (1.0 + self.lam))
+        self._p_growth = 1.0 / (1.0 + self.lam)
+        self._i = _CHUNK
+        # A labelled site carries a lower label, so an occupied r with
+        # label[r] == r starts a new cluster.
+        occ, adj = self.occ, topology.adjacency
+        label = self._label = list(range(n))
+        members = self._members = {}
+        for r in compress(range(n), occ):
+            if label[r] == r:
+                cluster = members[r] = [r]
+                for i in cluster:
+                    for j in adj[i]:
+                        if occ[j] and label[j] != r:
+                            label[j] = r
+                            cluster.append(j)
+
+    def cluster_members(self, site) -> list[int]:
+        i = self.topology.site_index(site)
+        if not self.occ[i]:
+            return []
+        return self._members[self._label[i]]
+
+    def _refill(self):
+        rng = self.rng
+        self._dt = memoryview(rng.exponential(self._scale, _CHUNK))
+        self._site = memoryview(rng.integers(0, len(self.occ), _CHUNK))
+        self._u = memoryview(rng.random(_CHUNK))
+        self._i = 0
+
+    def _occupy(self, site):
+        occ, label, members = self.occ, self._label, self._members
+        occ[site] = 1
+        label[site] = root = site
+        mine = members[site] = [site]
+        for j in self.topology.adjacency[site]:
+            if occ[j]:
+                other = label[j]
+                if other != root:
+                    theirs = members[other]
+                    if len(mine) < len(theirs):
+                        root, other, mine, theirs = other, root, theirs, mine
+                    for m in theirs:
+                        label[m] = root
+                    mine.extend(theirs)
+                    del members[other]
+
+    def _burn(self, site) -> list[int]:
+        members = self._members.pop(self._label[site])
+        occ = self.occ
+        for m in members:
+            occ[m] = 0
+        return members
+
+    def next_event(self) -> Event:
+        if self._i == _CHUNK:
+            self._refill()
+        i = self._i
+        self._i = i + 1
+        self.clock += self._dt[i]
+        kind = GROWTH if self._u[i] < self._p_growth else IGNITION
+        return Event(self.clock, self._site[i], kind)
+
+    def apply_event(self, event: Event) -> list[int]:
+        site, kind = event.site, event.kind
+        self.clock = event.time
+        self.counts[kind] += 1
+        if kind == GROWTH:
+            if self.occ[site]:
+                return []
+            self._occupy(site)
+            self.effective[GROWTH] += 1
+            return [site]
+        if not self.occ[site]:
+            return []
+        self.effective["burn"] += 1
+        return self._burn(site)
+
+    def run_until(self, T, observers=()):
+        if T < self.clock:
+            raise InvalidParameterError("horizon lies in the past")
+        closers = [ob.accumulate for ob in observers if hasattr(ob, "accumulate")]
+        if T == self.clock:
+            for acc in closers:
+                acc(self)
+            return self
+        changers = [ob.on_event for ob in observers if hasattr(ob, "on_event")]
+        attempters = [ob.on_attempt for ob in observers
+                      if hasattr(ob, "on_attempt")]
+        occ, occupy, burn = self.occ, self._occupy, self._burn
+        p_growth = self._p_growth
+        i = self._i
+        if i < _CHUNK:
+            dts, sites, us = self._dt, self._site, self._u
+        clock = self.clock
+        drawn = -i
+        growths = grown = burnt = 0
+        try:
+            while True:
+                if i == _CHUNK:
+                    self._refill()
+                    dts, sites, us = self._dt, self._site, self._u
+                    drawn += _CHUNK
+                    i = 0
+                t_next = clock + dts[i]
+                if t_next > T:
+                    i += 1
+                    drawn -= 1
+                    clock = self.clock = T
+                    for acc in closers:
+                        acc(self)
+                    return self
+                site = sites[i]
+                growth = us[i] < p_growth
+                effective = not occ[site] if growth else occ[site]
+                i += 1
+                growths += growth
+                clock = t_next
+                if effective:
+                    if growth:
+                        occupy(site)
+                        grown += 1
+                        changed = [site]
+                    else:
+                        changed = burn(site)
+                        burnt += 1
+                    if changers:
+                        self.clock = clock
+                        for on_event in changers:
+                            on_event(self, changed)
+                if attempters:
+                    self.clock = clock
+                    for on_attempt in attempters:
+                        on_attempt(self, site, growth)
+        finally:
+            self._i = i
+            self.clock = clock
+            attempts = drawn + i
+            self.counts[GROWTH] += growths
+            self.counts[IGNITION] += attempts - growths
+            self.effective[GROWTH] += grown
+            self.effective["burn"] += burnt

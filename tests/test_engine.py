@@ -11,6 +11,7 @@ from ffp_lab.errors import EventOrderError, InvalidParameterError
 from ffp_lab.lattice import (EXPLICIT, TORUS, WINDOW, Topology,
                              build_topology, cluster_of, explicit_topology)
 from ffp_lab.rng import make_rng
+from oracles import LabelledEngine
 
 
 def make_engine(lam=1.0, seed=0, d=2, k=2, mode=TORUS, init=None):
@@ -132,39 +133,44 @@ def configured_topology(draw):
 
 
 class TestLabelling:
-    """The index built by labelling at construction, and kept by the
-    union in _occupy, matches a fresh traversal at every step."""
+    """cluster_members, flooded on demand from occupancy alone, matches
+    lattice.cluster_of at every step."""
 
-    def assert_index_exact(self, eng):
+    def assert_clusters_exact(self, eng):
+        """Every site's cluster equals a fresh traversal, and the flood
+        leaves the configuration as it found it."""
         topo, occ = eng.topology, eng.occ
+        before = list(occ)
         for i in range(topo.n_sites):
+            members = eng.cluster_members(i)
+            assert len(members) == len(set(members))
+            assert set(members) == cluster_of(occ, topo, i)
             if occ[i]:
-                assert set(eng.cluster_members(i)) == cluster_of(occ, topo, i)
-                assert i in eng._members[eng._label[i]]
-        listed = [m for members in eng._members.values() for m in members]
-        assert sorted(listed) == [i for i in range(topo.n_sites) if occ[i]]
+                assert members[0] == i
+        assert occ == before
 
     @settings(max_examples=150, deadline=None)
     @given(configured_topology())
     def test_index_matches_traversal(self, case):
         topo, cfg, events = case
         eng = ForestFireEngine(topo, 1.0, make_rng(0), cfg)
-        self.assert_index_exact(eng)
+        self.assert_clusters_exact(eng)
         for t, (site, kind) in enumerate(events, 1):
             eng.apply_event(Event(float(t), site, kind))
-            self.assert_index_exact(eng)
+            self.assert_clusters_exact(eng)
 
     def test_index_exact_along_long_low_lambda_run(self):
-        """Rare fires: merges of clusters of hundreds of sites, and
-        regrowth on the sites of retired labels."""
+        """Rare fires: clusters of hundreds of sites, and regrowth on the
+        sites of burned ones."""
         eng = ForestFireEngine(build_topology(2, 10, TORUS), 0.05,
                                make_rng(4, 0))
         largest = 0
         for step in range(1, 20001):
             eng.apply_event(eng.next_event())
             if step % 500 == 0:
-                self.assert_index_exact(eng)
-                largest = max(largest, *map(len, eng._members.values()))
+                self.assert_clusters_exact(eng)
+                largest = max(largest, *(len(eng.cluster_members(i))
+                                         for i in range(eng.topology.n_sites)))
         assert eng.effective["burn"] > 0 and largest > 200
 
 
@@ -211,6 +217,13 @@ class TestRunUntil:
         eng = make_engine(seed=5)
         eng.run_until(3.0)
         assert eng.clock == 3.0
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_non_finite_horizon_rejected(self, T):
+        eng = make_engine(seed=5, d=1, k=1)                  # 3 sites
+        with pytest.raises(InvalidParameterError, match="finite"):
+            eng.run_until(T)
+        assert eng.clock == 0.0 and sum(eng.counts.values()) == 0
 
     def test_past_horizon_rejected(self):
         eng = make_engine(seed=5)
@@ -352,3 +365,124 @@ class TestStreamPreserved:
         for (kind, t), (after, t_after) in zip(ob.calls, ob.calls[1:]):
             if kind == "event":     # its own attempt comes next
                 assert (after, t_after) == ("attempt", t)
+
+
+class CallLog:
+    """Observer keeping every attempt and every state change: a growth
+    as its site, a burn as the set of its sites."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_event(self, engine, changed):
+        burn = not engine.occ[changed[0]]
+        self.calls.append(("event", engine.clock,
+                           frozenset(changed) if burn else tuple(changed)))
+
+    def on_attempt(self, engine, site, growth):
+        self.calls.append(("attempt", engine.clock, site, growth))
+
+    def accumulate(self, engine):
+        self.calls.append(("accumulate", engine.clock))
+
+
+class Raising(CallLog):
+    """A CallLog whose chosen method raises on its n-th call."""
+
+    class Stop(Exception):
+        pass
+
+    def __init__(self, method, n):
+        super().__init__()
+        self.method, self.left = method, n
+
+    def _count(self):
+        self.left -= 1
+        if self.left == 0:
+            raise self.Stop
+
+    def on_event(self, engine, changed):
+        super().on_event(engine, changed)
+        if self.method == "on_event":
+            self._count()
+
+    def on_attempt(self, engine, site, growth):
+        super().on_attempt(engine, site, growth)
+        if self.method == "on_attempt":
+            self._count()
+
+
+REFERENCE_TOPOLOGIES = {
+    "torus": lambda: build_topology(2, 3, TORUS),
+    "window": lambda: build_topology(2, 3, WINDOW),
+    "explicit": lambda: explicit_topology(
+        12, [(i, (i + 1) % 12) for i in range(11)] + [(0, 11), (0, 6), (3, 9)]),
+}
+
+
+class TestAgainstReference:
+    """The block-decoding engine against LabelledEngine, the scalar loop
+    with a cluster-label index: the same state after every call, the
+    same attempts, the same growths and the same burned sets."""
+
+    def pair(self, mode, lam, seed):
+        topo = REFERENCE_TOPOLOGIES[mode]()
+        init = make_rng(seed, 1).integers(0, 2, topo.n_sites).tolist()
+        return (ForestFireEngine(topo, lam, make_rng(seed, 0), init),
+                LabelledEngine(topo, lam, make_rng(seed, 0), init))
+
+    def assert_same(self, eng, ref):
+        assert eng.occ == ref.occ
+        assert eng.clock == ref.clock and eng._i == ref._i
+        assert eng.counts == ref.counts and eng.effective == ref.effective
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("mode", sorted(REFERENCE_TOPOLOGIES))
+    def test_same_trajectory(self, mode, lam):
+        eng, ref = self.pair(mode, lam, seed=21)
+        rate = eng.topology.n_sites * (1.0 + lam)
+        logs = CallLog(), CallLog()
+        # horizons in expected attempts; "on" lands exactly on the clock
+        # of the third draw ahead, which is taken, not discarded
+        steps = [0.3, "on", 2.5, 0.0, "step", 3.5 * 4096, "on", 0.0, 1.0,
+                 "step", "step", 0.2, 40.0, 4096.0, "step", 0.7]
+        for step in steps:
+            if step == "step":
+                event = eng.next_event()
+                assert event == ref.next_event()
+                changed = eng.apply_event(event)    # a burn in any order
+                assert sorted(changed) == sorted(ref.apply_event(event))
+            else:
+                if step == "on":
+                    ahead = ref._dt[ref._i:ref._i + 3]
+                    assert len(ahead) == 3
+                    T = eng.clock
+                    for dt in ahead:
+                        T += dt
+                else:
+                    T = eng.clock + step / rate
+                eng.run_until(T, observers=(logs[0],))
+                ref.run_until(T, observers=(logs[1],))
+            self.assert_same(eng, ref)
+        assert logs[0].calls == logs[1].calls
+        kinds = [call[0] for call in logs[0].calls]
+        assert kinds.count("accumulate") == len(steps) - steps.count("step")
+        assert eng.effective["burn"] > 0
+        assert sum(eng.counts.values()) > 3 * 4096
+
+    @pytest.mark.parametrize("n", [7, 5000])
+    @pytest.mark.parametrize("method", ["on_attempt", "on_event"])
+    def test_same_state_after_a_raising_callback(self, method, n):
+        eng, ref = self.pair("torus", 1.0, seed=22)
+        logs = Raising(method, n), Raising(method, n)
+        for engine, log in zip((eng, ref), logs):
+            with pytest.raises(Raising.Stop):
+                engine.run_until(1e4, observers=(log,))
+        self.assert_same(eng, ref)
+        assert logs[0].calls == logs[1].calls
+        assert eng.clock == logs[0].calls[-1][1]
+        T = eng.clock + 5.0
+        for engine, log in zip((eng, ref), logs):    # resumes alike
+            engine.run_until(T, observers=(log,))
+        self.assert_same(eng, ref)
+        assert logs[0].calls == logs[1].calls
