@@ -213,11 +213,14 @@ def _resolve_times(m, problems):
     return _TIMES.ok(m["t_list"], m)
 
 
-def _scan_batch_tables(m, problems):
-    """mu-scan keeps, per radius, DEFAULT_BATCHES rows keyed by window
-    patterns, so its tables are sized before any torus is built."""
+def _scan_radii(m, problems):
+    """mu-scan compares consecutive radii, so none may repeat, and keeps,
+    per radius, DEFAULT_BATCHES rows keyed by window patterns, so its
+    tables are sized before any torus is built."""
+    if not problems and len(set(m["k_list"])) < len(m["k_list"]):
+        problems.append("duplicate radii in k_list")
     if not problems:
-        check_batch_cap(DEFAULT_BATCHES * len(set(m["k_list"])),
+        check_batch_cap(DEFAULT_BATCHES * len(m["k_list"]),
                         1 << len({tuple(c) for c in m["window"]}))
 
 
@@ -452,7 +455,7 @@ _KINDS = {
                           "a non-empty list of integers >= 1"),
          "horizon": _HORIZON, "burn_in": _MAYBE_BURN_IN},
         lambda m: (m["d"], max(m["k_list"]), 0),
-        (_horizon_after_burn_in, _scan_batch_tables),
+        (_horizon_after_burn_in, _scan_radii),
         {"mu_scan.csv": "k_low k_high tv ci_low ci_high",
          "marginal_k{}.csv": _MEASURE},
         ("mu_scan.csv", 40, ""), _run_mu_scan),

@@ -64,7 +64,7 @@ class CoupleParams:
         return errors
 
 
-@dataclass
+@dataclass(slots=True)
 class CoupledRecord:
     initial_J_equal: bool
     agree_on_I: bool

@@ -78,7 +78,7 @@ class ForestFireEngine:
     """
 
     def __init__(self, topology: Topology, lam: float, rng, init_config=None):
-        if lam <= 0:
+        if not lam > 0:                 # NaN too
             raise InvalidParameterError("lambda must be positive")
         self.topology = topology
         self.lam = float(lam)
@@ -93,7 +93,10 @@ class ForestFireEngine:
             raise InvalidParameterError("initial configuration length mismatch")
         self.counts = {GROWTH: 0, IGNITION: 0}
         self.effective = {GROWTH: 0, "burn": 0}
-        self._scale = 1.0 / (n * (1.0 + self.lam))
+        rate = n * (1.0 + self.lam)
+        if not math.isfinite(rate):     # every holding time would be 0.0
+            raise InvalidParameterError("lambda too large: N(1 + lambda) overflows")
+        self._scale = 1.0 / rate
         self._p_growth = 1.0 / (1.0 + self.lam)
         self._i = _CHUNK                # next unread draw of the chunk
 

@@ -516,36 +516,70 @@ def total_variation(p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
     return 0.5 * float(np.abs(pv - qv).sum())
 
 
-def _bootstrap_measure(m: EmpiricalMeasure, rng) -> EmpiricalMeasure:
-    if len(m.batches) >= 2:
-        idx = rng.integers(0, len(m.batches), len(m.batches))
-        weights: dict = defaultdict(float)
-        total = 0.0
-        for i in idx:
-            size, w = m.batches[i]
-            total += size
-            for c, v in w.items():
-                weights[c] += v
-        return EmpiricalMeasure(m.window, dict(weights), total)
-    # no batch structure: multinomial resample of the weights
-    codes = sorted(m.weights)
+def _resampler(m: EmpiricalMeasure, codes: list, rng):
+    """One bootstrap resample of m per call, as (weights over codes,
+    total): the batches drawn with replacement and their rows added in
+    draw order, or, with fewer than two batches, a multinomial draw of
+    m's weights.  A code that a row lacks adds 0.0, so each weight is
+    the double that adding only the codes drawn gives."""
+    pos = {c: j for j, c in enumerate(codes)}
+    nb = len(m.batches)
+    if nb >= 2:
+        sizes = [size for size, _ in m.batches]
+        rows = np.zeros((nb, len(codes)))
+        for row, (_, w) in zip(rows, m.batches):
+            row[[pos[c] for c in w]] = list(w.values())
+
+        def draw():
+            acc, total = np.zeros(len(codes)), 0.0
+            for i in rng.integers(0, nb, nb).tolist():
+                acc += rows[i]
+                total += sizes[i]
+            return acc, total
+        return draw
+    own = sorted(m.weights)
+    at = [pos[c] for c in own]
     n = max(int(round(m.total)), 1)
-    pv = np.array([m.weights[c] for c in codes]) / m.total
-    counts = rng.multinomial(n, pv)
-    weights = {c: float(k) for c, k in zip(codes, counts) if k}
-    return EmpiricalMeasure(m.window, weights, float(n))
+    pv = np.array([m.weights[c] for c in own]) / m.total
+
+    def draw():
+        acc = np.zeros(len(codes))
+        acc[at] = rng.multinomial(n, pv)
+        return acc, float(n)
+    return draw
+
+
+def _quantile(sorted_values: list, q: float) -> float:
+    """``np.quantile``'s default (linear) method on a sorted list, with
+    its operations in its order, so the result is the same double."""
+    n = len(sorted_values)
+    h = (n - 1) * q
+    if h >= n - 1:
+        return sorted_values[-1]
+    j = math.floor(h)
+    t = h - j
+    a, b = sorted_values[j], sorted_values[j + 1]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def total_variation_ci(p: EmpiricalMeasure, q: EmpiricalMeasure, rng,
                        n_boot: int = 200) -> tuple[float, float, float]:
-    """Plug-in TV with a 95% bootstrap percentile confidence interval."""
+    """Plug-in TV with a 95% bootstrap percentile confidence interval.
+
+    Each draw resamples p, then q, and takes the TV over the codes that
+    either resample holds."""
     tv = total_variation(p, q)
-    draws = [total_variation(_bootstrap_measure(p, rng),
-                             _bootstrap_measure(q, rng))
-             for _ in range(n_boot)]
+    codes = sorted({*p.weights, *q.weights})
+    draw_p, draw_q = _resampler(p, codes, rng), _resampler(q, codes, rng)
+    draws = []
+    for _ in range(n_boot):
+        (wp, tp), (wq, tq) = draw_p(), draw_q()
+        held = (wp > 0) | (wq > 0)
+        draws.append(0.5 * float(np.abs(wp[held] / tp - wq[held] / tq).sum()))
+    draws.sort()
     # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025: keep the expression
-    lo, hi = np.quantile(draws, [(1 - 0.95) / 2, (1 + 0.95) / 2])
-    return tv, float(lo), float(hi)
+    return (tv, _quantile(draws, (1 - 0.95) / 2),
+            _quantile(draws, (1 + 0.95) / 2))
 
 
 class MaximalCoupling:
@@ -609,6 +643,8 @@ def mu_convergence_scan(d, lam, window, k_list, burn_in, horizon, seed,
     window = tuple(sorted(tuple(c) for c in window))
     max_rad = max(max(abs(ci) for ci in c) for c in window)
     k_list = sorted(k_list)
+    if len(set(k_list)) < len(k_list):
+        raise InvalidParameterError("duplicate radii in k_list")
     if min(k_list) <= max_rad:
         raise InvalidParameterError("window must fit strictly inside every torus")
     marginals = {}

@@ -5,13 +5,19 @@ package computes: exact window marginals and cylinder probabilities,
 translation invariance of the torus law, stationarity under evolution,
 and the Lemma 1 scan.  The exact oracles are plain loops over all 2^N
 states; a marginal adds each code's mass in increasing state order.
+``total_variation_ci`` is the bootstrap interval as it was before it
+resampled on arrays: one dict-built measure per resample and
+``np.quantile`` for the percentiles.
 ``LabelledEngine`` is the engine as it was before ``run_until`` decoded
 its draws in numpy blocks: one scalar step per draw, and a cluster-label
 index kept on every growth.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
+
+import numpy as np
 
 from ffp_lab.blur import epsilon_for
 from ffp_lab.coupling import (CoupledExperiment, CoupleParams, Lemma1Report,
@@ -22,7 +28,7 @@ from ffp_lab.errors import InvalidParameterError
 from ffp_lab.lattice import TORUS, Topology
 from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure,
                              ExactDistribution, canonical_window,
-                             default_burn_in)
+                             default_burn_in, total_variation)
 from ffp_lab.rng import make_rng
 from ffp_lab.sampling import SnapshotBank
 from ffp_lab.stats import paired_se
@@ -50,6 +56,40 @@ def measure_from_probabilities(window, probs) -> EmpiricalMeasure:
     window = tuple(sorted(window))
     weights = {c: p for c, p in probs.items() if p > 0}
     return EmpiricalMeasure(window, weights, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Bootstrap interval of the total variation
+
+def _bootstrap_measure(m: EmpiricalMeasure, rng) -> EmpiricalMeasure:
+    if len(m.batches) >= 2:
+        idx = rng.integers(0, len(m.batches), len(m.batches))
+        weights: dict = defaultdict(float)
+        total = 0.0
+        for i in idx:
+            size, w = m.batches[i]
+            total += size
+            for c, v in w.items():
+                weights[c] += v
+        return EmpiricalMeasure(m.window, dict(weights), total)
+    # no batch structure: multinomial resample of the weights
+    codes = sorted(m.weights)
+    n = max(int(round(m.total)), 1)
+    pv = np.array([m.weights[c] for c in codes]) / m.total
+    counts = rng.multinomial(n, pv)
+    weights = {c: float(k) for c, k in zip(codes, counts) if k}
+    return EmpiricalMeasure(m.window, weights, float(n))
+
+
+def total_variation_ci(p: EmpiricalMeasure, q: EmpiricalMeasure, rng,
+                       n_boot: int = 200) -> tuple[float, float, float]:
+    """Plug-in TV with a 95% bootstrap percentile confidence interval."""
+    tv = total_variation(p, q)
+    draws = [total_variation(_bootstrap_measure(p, rng),
+                             _bootstrap_measure(q, rng))
+             for _ in range(n_boot)]
+    lo, hi = np.quantile(draws, [(1 - 0.95) / 2, (1 + 0.95) / 2])
+    return tv, float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------

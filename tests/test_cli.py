@@ -334,11 +334,11 @@ class TestExitCodes:
         edges.write_text("0 1\n1 2\n2 3\n3 0\n")
         ring = {k: v for k, v in SIM.items() if k not in ("d", "k")}
         # each manifest with its batches x (2 + keys a row can credit);
-        # mu-scan keeps 20 batches per distinct radius
+        # mu-scan keeps 20 batches per radius
         for m, cells in ((dict(SIM, n_batches=7), 7 * (2 + 9)),
                          (dict(STAT, n_batches=7), 7 * (2 + 2)),
                          (dict(ring, edge_file=str(edges)), 20 * (2 + 4)),
-                         (dict(MU_SCAN, k_list=[2, 1, 2]), 2 * 20 * (2 + 2))):
+                         (dict(MU_SCAN, k_list=[2, 1]), 2 * 20 * (2 + 2))):
             monkeypatch.setattr(lattice, "MAX_BATCH_CELLS", cells)
             validate_manifest(m)                # at the bound it passes
             monkeypatch.setattr(lattice, "MAX_BATCH_CELLS", cells - 1)
@@ -458,6 +458,8 @@ class TestExitCodes:
         (dict(SIM, seed="x"), "seed must be"),
         (dict(STAT, window=[[0, 0], [0, 0]]), "duplicate sites in window"),
         (dict(MU_SCAN, window=[[0], [0]]), "duplicate sites in window"),
+        (dict(MU_SCAN, k_list=[2, 3, 2]), "duplicate radii in k_list"),
+        (dict(MU_SCAN, k_list=[1, 1]), "duplicate radii in k_list"),
     ], ids=["window-outside-box", "empty-window", "probe-outside-window",
             "bool-lambda", "window-item-not-coord", "L_list-not-int",
             "empty-t_list", "zero-batches", "infinite-horizon",
@@ -467,7 +469,8 @@ class TestExitCodes:
             "bank_snapshots-not-int", "edge_file-not-path",
             "edge_file-missing", "edge_file-bad-line", "unknown-init-kind",
             "unknown-sampler-kind", "seed-not-int", "duplicate-window",
-            "mu-scan-duplicate-window"])
+            "mu-scan-duplicate-window", "mu-scan-duplicate-radius",
+            "mu-scan-one-radius-twice"])
     def test_bad_manifest_exits_2(self, tmp_path, capsys, monkeypatch,
                                   manifest, problem):
         monkeypatch.chdir(tmp_path)   # relative edge files live here
@@ -479,8 +482,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert problem in err
-        if problem == "duplicate sites in window":   # refused at validation
+        if problem.startswith("duplicate"):   # refused at validation
             assert sizes == [] and not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("lam", [1e308, 2e307])
+    def test_lambda_whose_rate_overflows_exits_2(self, tmp_path, lam):
+        """N(1 + lambda) overflows on the 3x3 torus: refused, where every
+        holding time used to be 0.0 and the run never returned."""
+        path = write_manifest(tmp_path, dict(SIM, **{"lambda": lam}))
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "ffp_lab.cli", "simulate", "--manifest",
+             str(path), "--out", str(tmp_path / "out")], capture_output=True,
+            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert done.returncode == 2, done.stderr
+        assert "lambda too large" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestOutputs:
@@ -633,6 +651,24 @@ def test_modules_load_only_where_a_run_uses_them(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", code, "exact",
          "--manifest", str(write_manifest(tmp_path, EXACT)),
+         "--out", str(tmp_path / "out")], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("manifest", [COUPLE, MU_SCAN],
+                         ids=["couple", "mu-scan"])
+def test_tv_interval_leaves_numpy_ma_unloaded(tmp_path, manifest):
+    """The bootstrap TV interval reads its percentiles without
+    np.quantile, whose np.unique call loads numpy.ma."""
+    code = ("import sys\n"
+            "from ffp_lab.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, manifest["kind"],
+         "--manifest", str(write_manifest(tmp_path, manifest)),
          "--out", str(tmp_path / "out")], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.returncode == 0, done.stderr

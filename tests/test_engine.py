@@ -57,6 +57,22 @@ class TestRules:
         with pytest.raises(InvalidParameterError):
             ForestFireEngine(topo, 0.0, make_rng(0))
 
+    @pytest.mark.parametrize("lam", [math.nan, -math.inf])
+    def test_lambda_not_a_positive_number_refused(self, lam):
+        topo = build_topology(2, 1, TORUS)
+        with pytest.raises(InvalidParameterError, match="positive"):
+            ForestFireEngine(topo, lam, make_rng(0))
+
+    @pytest.mark.parametrize("lam", [1e308, 2e307, math.inf])
+    def test_lambda_whose_rate_overflows_refused(self, lam):
+        """With N(1 + lambda) infinite every holding time would be 0.0
+        and run_until would never return."""
+        topo = build_topology(2, 1, TORUS)                   # 9 sites
+        with pytest.raises(InvalidParameterError, match="too large"):
+            ForestFireEngine(topo, lam, make_rng(0))
+        eng = ForestFireEngine(topo, 1e307, make_rng(0))     # 9.0e307 is finite
+        assert eng.next_event().time > 0.0
+
     def test_empty_topology_refused(self):
         with pytest.raises(InvalidParameterError, match="no sites"):
             ForestFireEngine(Topology(1, None, EXPLICIT, [], []), 1.0,

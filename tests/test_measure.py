@@ -20,6 +20,7 @@ from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure, ExactDistribution,
                              mu_convergence_scan, total_variation,
                              total_variation_ci, window_pattern)
 from ffp_lab.rng import make_rng
+import oracles
 from oracles import (exact_cylinder, exact_marginal,
                      measure_from_probabilities, stationarity_check,
                      translation_invariance_defect)
@@ -535,6 +536,10 @@ class TestScanAndStationarity:
         row = scan.rows[0]
         assert row.ci_low <= row.tv <= row.ci_high
 
+    def test_scan_radius_named_twice_refused(self):
+        with pytest.raises(InvalidParameterError, match="duplicate radii"):
+            mu_convergence_scan(1, 1.0, [(0,)], [2, 3, 2], 1.0, 10.0, 0)
+
     def test_scan_window_must_fit(self):
         with pytest.raises(InvalidParameterError):
             mu_convergence_scan(1, 1.0, [(2,)], [1, 2], 1.0, 10.0, 0)
@@ -555,3 +560,66 @@ class TestScanAndStationarity:
         tv, lo, hi = total_variation_ci(a, b, make_rng(5), n_boot=100)
         assert lo <= hi
         assert tv == pytest.approx(total_variation(a, b))
+
+
+def random_measure(gen, window, codes, n_batches, time_weights):
+    """A measure built as the package builds one: batch rows of positive
+    weights (snapshot counts or credited times) over some of the codes,
+    each batch sized by its row, the weights and total their sums in
+    batch order; with no batches, the weights alone."""
+    rows = []
+    for _ in range(max(n_batches, 1)):
+        own = gen.choice(codes, gen.integers(1, len(codes) + 1), replace=False)
+        values = (gen.exponential(1.0, own.size) if time_weights
+                  else gen.integers(1, 6, own.size).astype(float))
+        rows.append(dict(zip(own.tolist(), values.tolist())))
+    weights, total, batches = {}, 0.0, []
+    for row in rows:
+        size = sum(row.values())
+        batches.append((size, row))
+        total += size
+        for c, v in row.items():
+            weights[c] = weights.get(c, 0.0) + v
+    return EmpiricalMeasure(window, weights, total,
+                            batches if n_batches else [])
+
+
+class TestTotalVariationCI:
+    """The array resampler and ``_quantile`` against the dict-built
+    resamples and ``np.quantile`` kept in ``oracles``: the same rng calls
+    and the same three doubles."""
+
+    WINDOW = ((0,), (1,), (2,), (3,))
+
+    @pytest.mark.parametrize("n_batches", [0, 1, 2, 20])
+    @pytest.mark.parametrize("time_weights", [False, True],
+                             ids=["counts", "times"])
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["disjoint", "shared"])
+    def test_same_interval_as_reference(self, n_batches, time_weights,
+                                        shared):
+        gen = np.random.default_rng([n_batches, time_weights, shared])
+        for n_boot in (1, 2, 200):
+            for _ in range(3):
+                p = random_measure(gen, self.WINDOW, np.arange(8), n_batches,
+                                   time_weights)
+                q = random_measure(gen, self.WINDOW,
+                                   np.arange(16) if shared else np.arange(8, 16),
+                                   int(gen.choice([0, 1, 2, 20])),
+                                   time_weights)
+                seed = int(gen.integers(1 << 30))
+                rng, ref_rng = make_rng(seed), make_rng(seed)
+                got = total_variation_ci(p, q, rng, n_boot)
+                assert got == oracles.total_variation_ci(p, q, ref_rng, n_boot)
+                assert rng.random() == ref_rng.random()   # same draws taken
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 201])
+    def test_quantile_is_numpy_linear_method(self, n):
+        qs = [0.0, (1 - 0.95) / 2, 0.5, (1 + 0.95) / 2, 1.0]
+        gen = np.random.default_rng(n)
+        for values in (gen.random(n), gen.integers(0, 4, n) / 3.0,
+                       gen.exponential(1e-3, n)):
+            values = values.tolist()
+            expected = np.quantile(values, qs)
+            got = [measure._quantile(sorted(values), q) for q in qs]
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
