@@ -9,8 +9,9 @@ holding this script), at --jobs 1 and --jobs 2.  Every output file must
 be byte-identical between the roots, except run_info.json, which is
 compared parsed, without wall_time_s and with the run directory written
 as "<run>".  Exit codes and stderr must match too, and the change's CSVs
-must not depend on --jobs.  Prints the counts, names each differing
-file, and exits 1 on any difference.
+must not depend on --jobs.  A run still going after TIMEOUT_S seconds
+is stopped and counted as a difference, on either root.  Prints the
+counts, names each differing file, and exits 1 on any difference.
 """
 
 import json
@@ -23,6 +24,7 @@ import tempfile
 from pathlib import Path
 
 JOBS = (1, 2)
+TIMEOUT_S = 120
 EDGES = "".join(f"{i} {(i + 1) % 8}\n" for i in range(8)) + "0 4\n"
 BLUR_T = 0.5 * -math.log1p(-1.0 / 24.0)
 SMALL_BANK = {"kind": "stationary", "snapshots": 30, "spacing": 0.5,
@@ -108,16 +110,21 @@ EXIT_CODES = {"refused-invalid": 2, "refused-capacity": 3,
 
 
 def run(root, name, manifest, jobs, work):
-    """One CLI run in a fresh directory; (exit code, stderr, run dir)."""
+    """One CLI run in a fresh directory; (exit code, stderr, run dir),
+    with exit code None if the run timed out."""
     rundir = work / f"{name}.j{jobs}"
     rundir.mkdir()
     (rundir / "edges.txt").write_text(EDGES)
     (rundir / "manifest.json").write_text(json.dumps(manifest))
     env = {**os.environ, "PYTHONPATH": str(Path(root, "src").resolve())}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ffp_lab.cli", manifest["kind"],
-         "--manifest", "manifest.json", "--jobs", str(jobs), "--out", "out"],
-        cwd=rundir, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffp_lab.cli", manifest["kind"],
+             "--manifest", "manifest.json", "--jobs", str(jobs), "--out",
+             "out"], cwd=rundir, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, "", rundir
     return proc.returncode, proc.stderr.replace(str(rundir), "<run>"), rundir
 
 
@@ -154,6 +161,9 @@ def main(argv):
                 pb = run(change, name, manifest, jobs, work / "change")
                 runs += 2
                 where = f"{name} --jobs {jobs}"
+                for root, p in (("parent", pa), ("change", pb)):
+                    if p[0] is None:
+                        diffs.append(f"{where}: {root} timed out")
                 if pa[:2] != pb[:2]:
                     diffs.append(f"{where}: exit code or stderr")
                 if pb[0] != EXIT_CODES.get(name, 0):

@@ -151,18 +151,18 @@ class CoupledExperiment:
 
 
 class _TorusMirror:
-    """Window-engine observer replaying each attempt on a torus-box site
+    """Window-engine observer replaying each block's torus-box attempts
     on the torus engine, so both chains consume one event stream."""
 
     def __init__(self, t_engine, to_torus):
         self.t_engine = t_engine
         self.to_torus = to_torus
 
-    def on_attempt(self, engine, site, growth):
-        ti = self.to_torus[site]
-        if ti is not None:
-            self.t_engine.apply_event(
-                Event(engine.clock, ti, GROWTH if growth else IGNITION))
+    def on_attempts(self, clocks, sites, growth):
+        apply, to_torus = self.t_engine.apply_event, self.to_torus
+        for t, site, g in zip(clocks, sites, growth):
+            if (ti := to_torus[site]) is not None:
+                apply(Event(t, ti, GROWTH if g else IGNITION))
 
 
 @dataclass

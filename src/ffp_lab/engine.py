@@ -12,25 +12,14 @@ growth with probability 1/(1+lambda).  Attempts on wrong-state sites are
 kept as no-ops, which makes the sampling exact regardless of the current
 configuration.
 
-The engine keeps occupancy only.  A growth sets its site; a fire
-floods the struck cluster from the struck site and vacates it as it
-goes, so a cluster is found only when it burns (or when
-``cluster_members`` asks for it), never tracked on a growth.  Draws are
+The engine keeps occupancy only: a fire floods the struck cluster as it
+vacates it, and ``cluster_members`` floods on demand.  Draws are
 buffered in fixed-size chunks of (holding time, site, kind) triples, so
 the random stream consumed depends only on the number of events drawn.
-``run_until`` decodes each chunk in numpy blocks sized from the expected
-number of attempts before the horizon: the clocks are one sequential
-``cumsum`` (the same doubles as adding one holding time at a time), the
-stop is one ``searchsorted``, and Python then only applies each attempt.
-
-``run_until`` drives observers, each with up to three optional
-methods: ``on_event(engine, changed)`` right after each effective event,
-``on_attempt(engine, site, growth)`` after every attempt, no-ops
-included, both with ``engine.clock`` at its time, and
-``accumulate(engine)`` once per call, with ``engine.clock`` at the
-horizon.  An observer without ``on_attempt`` costs nothing on a no-op,
-and for one effective attempt every ``on_event`` runs before any
-``on_attempt``.
+``run_until`` decodes each chunk in numpy blocks: the clocks are one
+sequential ``cumsum`` (the same doubles as adding one holding time at a
+time), the stop is one ``searchsorted``, and Python then only applies
+each attempt.
 """
 
 import math
@@ -39,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EventOrderError, InvalidParameterError, InvalidSiteError
+from .errors import (CapacityError, EventOrderError, InvalidParameterError,
+                     InvalidSiteError)
 from .lattice import Topology
 
 GROWTH = "growth"
@@ -171,28 +161,36 @@ class ForestFireEngine:
         """Advance the trajectory to a finite time T.
 
         Each observer method is optional: ``on_event(engine, changed)``
-        runs after each effective event, then ``on_attempt(engine, site,
-        growth)`` after every attempt, no-ops included, and
-        ``accumulate(engine)`` once, when the clock has reached T.  A
-        burn's ``changed`` lists the cluster in flood order from the
-        struck site.  The event sampled past T is drawn and discarded,
-        which is exact by memorylessness of the exponential clocks.
-        Attempt counts are written back even if a callback raises.
+        runs after each effective event, with ``engine.clock`` at its
+        time; ``on_attempts(clocks, sites, growth)`` once per decoded
+        block, with its attempts, no-ops included, as three lists in
+        stream order (never empty); ``accumulate(engine)`` once, when
+        the clock has reached T.  A burn's ``changed`` lists the cluster
+        in flood order from the struck site.  The event sampled past T
+        is drawn and discarded, which is exact by memorylessness.
+
+        A block is consumed (state, counts, clock) before its
+        ``on_attempts`` runs, and counts are written back even if a
+        callback raises; a block cut short by a raising ``on_event`` is
+        never passed on.  T*N*(1 + lambda) >= 2**52 is refused before any
+        draw: the clock could no longer count holding times.
         """
         if not math.isfinite(T):
             raise InvalidParameterError("horizon must be finite")
         if T < self.clock:
             raise InvalidParameterError("horizon lies in the past")
+        occ, burn = self.occ, self._burn
+        p_growth, rate = self._p_growth, len(occ) * (1.0 + self.lam)
+        if T * rate >= 2 ** 52:
+            raise CapacityError(f"horizon {T} needs 2**52 or more attempts")
         closers = [ob.accumulate for ob in observers if hasattr(ob, "accumulate")]
         if T == self.clock:
             for acc in closers:
                 acc(self)
             return self
         changers = [ob.on_event for ob in observers if hasattr(ob, "on_event")]
-        attempters = [ob.on_attempt for ob in observers
-                      if hasattr(ob, "on_attempt")]
-        occ, burn = self.occ, self._burn
-        p_growth, rate = self._p_growth, len(occ) * (1.0 + self.lam)
+        attempters = [ob.on_attempts for ob in observers
+                      if hasattr(ob, "on_attempts")]
         i, clock = self._i, self.clock
         drawn = -i                      # drawn + i: draws taken in this call
         growths = grown = burnt = 0
@@ -210,14 +208,14 @@ class ForestFireEngine:
                 n = int(ts.searchsorted(T, side="right"))
                 grows = self._u[i:i + n] < p_growth
                 clocks = ts[:n].tolist()
+                sites = self._site[i:i + n].tolist()
+                growth = grows.tolist()
                 pending = iter(clocks)  # what it has not yielded is untaken
                 try:
-                    for t, site, growth in zip(
-                            pending, self._site[i:i + n].tolist(),
-                            grows.tolist()):
+                    for t, site, g in zip(pending, sites, growth):
                         # a vacant site grows, or an occupied one burns
-                        if occ[site] != growth:
-                            if growth:
+                        if occ[site] != g:
+                            if g:
                                 occ[site] = 1
                                 grown += 1
                                 changed = [site]
@@ -228,16 +226,15 @@ class ForestFireEngine:
                                 self.clock = t
                                 for on_event in changers:
                                     on_event(self, changed)
-                        if attempters:
-                            self.clock = t
-                            for on_attempt in attempters:
-                                on_attempt(self, site, growth)
-                finally:                # taken < n only if a callback raised
+                finally:                # taken < n only if on_event raised
                     taken = n - length_hint(pending)
                     growths += int(np.count_nonzero(grows[:taken]))
                     i += taken
                     if taken:
                         clock = clocks[taken - 1]
+                if n:
+                    for on_attempts in attempters:
+                        on_attempts(clocks, sites, growth)
                 if n < len(ts):         # ts[n] lies past T
                     i += 1
                     drawn -= 1          # the discarded draw is no attempt
@@ -266,6 +263,7 @@ class TrajectoryRecorder:
     def __init__(self, fh):
         self.fh = fh
 
-    def on_attempt(self, engine, site, growth):
-        kind = GROWTH if growth else IGNITION
-        self.fh.write(f"{engine.clock!r} {site} {kind}\n")
+    def on_attempts(self, clocks, sites, growth):
+        self.fh.write("".join(
+            f"{t!r} {site} {GROWTH if g else IGNITION}\n"
+            for t, site, g in zip(clocks, sites, growth)))

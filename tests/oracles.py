@@ -313,8 +313,8 @@ class LabelledEngine:
                 acc(self)
             return self
         changers = [ob.on_event for ob in observers if hasattr(ob, "on_event")]
-        attempters = [ob.on_attempt for ob in observers
-                      if hasattr(ob, "on_attempt")]
+        attempters = [ob.on_attempts for ob in observers
+                      if hasattr(ob, "on_attempts")]
         occ, occupy, burn = self.occ, self._occupy, self._burn
         p_growth = self._p_growth
         i = self._i
@@ -356,10 +356,8 @@ class LabelledEngine:
                         self.clock = clock
                         for on_event in changers:
                             on_event(self, changed)
-                if attempters:
-                    self.clock = clock
-                    for on_attempt in attempters:
-                        on_attempt(self, site, growth)
+                for on_attempts in attempters:     # a block of one attempt
+                    on_attempts([clock], [site], [growth])
         finally:
             self._i = i
             self.clock = clock

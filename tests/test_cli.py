@@ -486,19 +486,35 @@ class TestExitCodes:
             assert sizes == [] and not (tmp_path / "out").exists()
 
 
+    def run_cli(self, tmp_path, manifest):
+        """The CLI in a subprocess, which a hang fails by its timeout."""
+        path = write_manifest(tmp_path, manifest)
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "ffp_lab.cli", manifest["kind"],
+             "--manifest", str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert "Traceback" not in done.stderr
+        return done
+
     @pytest.mark.parametrize("lam", [1e308, 2e307])
     def test_lambda_whose_rate_overflows_exits_2(self, tmp_path, lam):
         """N(1 + lambda) overflows on the 3x3 torus: refused, where every
         holding time used to be 0.0 and the run never returned."""
-        path = write_manifest(tmp_path, dict(SIM, **{"lambda": lam}))
-        src = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run(
-            [sys.executable, "-m", "ffp_lab.cli", "simulate", "--manifest",
-             str(path), "--out", str(tmp_path / "out")], capture_output=True,
-            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+        done = self.run_cli(tmp_path, dict(SIM, **{"lambda": lam}))
         assert done.returncode == 2, done.stderr
         assert "lambda too large" in done.stderr
-        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("lam, horizon", [(1e300, 20.0), (1.0, 1e17)])
+    def test_horizon_the_clock_cannot_count_exits_3(self, tmp_path, lam,
+                                                    horizon):
+        """T*N*(1 + lambda) >= 2**52 on the 3-site ring: refused before
+        any draw, where the run used to hang."""
+        done = self.run_cli(tmp_path, dict(SIM, d=1, k=1, horizon=horizon,
+                                           **{"lambda": lam}))
+        assert done.returncode == 3, done.stderr
+        assert "2**52" in done.stderr
 
 
 class TestOutputs:
@@ -594,14 +610,15 @@ class TestDeterminism:
             (out2 / "blur_decay.csv").read_text()
 
 
-POOL = ["x", True, None, -1, 0.5, [], {}, [[0]], {"kind": "x"}]
+POOL = ["x", True, None, -1, 0.5, 1e17, 1e300, [], {}, [[0]], {"kind": "x"}]
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_mutated_manifest_exits_cleanly(data):
-    """One field of a tiny valid manifest set to a value from a fixed pool
-    (never a large count or horizon): exit code 0, 2 or 3, no traceback."""
+    """One field of a tiny valid manifest set to a value from a fixed pool:
+    exit code 0, 2 or 3, no traceback.  1e17 and 1e300 make horizons and
+    rates past 2**52 attempts; the pool holds no large integer count."""
     kind = data.draw(st.sampled_from(sorted(TINY)))
     manifest = dict(TINY[kind])
     field = data.draw(st.sampled_from(sorted(set(manifest)

@@ -2,7 +2,7 @@ import pytest
 
 from ffp_lab.blur import blur_geometry, init_blur
 from ffp_lab.coupling import (CoupledExperiment, CoupledRecord, CoupleParams,
-                              lemma1_experiment, lemma1_report)
+                              _TorusMirror, lemma1_experiment, lemma1_report)
 from ffp_lab.engine import GROWTH, IGNITION, Event, ForestFireEngine
 from ffp_lab.errors import InvalidParameterError
 from ffp_lab.measure import CylinderEvent
@@ -20,9 +20,9 @@ class Recorder:
     def __init__(self):
         self.attempts = []
 
-    def on_attempt(self, engine, site, growth):
-        self.attempts.append(
-            Event(engine.clock, site, GROWTH if growth else IGNITION))
+    def on_attempts(self, clocks, sites, growth):
+        self.attempts.extend(Event(t, site, GROWTH if g else IGNITION)
+                             for t, site, g in zip(clocks, sites, growth))
 
 
 class TestValidation:
@@ -57,7 +57,8 @@ class TestRuns:
 
     def test_torus_replays_window_attempts_in_its_box(self):
         """A replica rebuilt by hand: the window engine draws the stream,
-        and its attempts on torus-box sites are replayed on the torus."""
+        and its attempts on torus-box sites are replayed on the torus,
+        by hand and, block by block, by the experiment's mirror."""
         exp = CoupledExperiment(params(t=0.3))
         p, wt, tt = exp.params, exp.window_topo, exp.torus_topo
         for rep in range(6):
@@ -71,7 +72,9 @@ class TestRuns:
             geometry = blur_geometry(wt, [wt.index_of[c] for c in exp.J])
             blur = init_blur(window, geometry)
             recorder = Recorder()
-            window.run_until(p.t, observers=(blur, recorder))
+            mirror = _TorusMirror(ForestFireEngine(tt, p.lam, make_rng(0),
+                                                   cfg_t), exp._to_torus)
+            window.run_until(p.t, observers=(blur, recorder, mirror))
             torus = ForestFireEngine(tt, p.lam, make_rng(0), cfg_t)
             replayed = 0
             for ev in recorder.attempts:
@@ -90,6 +93,9 @@ class TestRuns:
                 in_A_window=exp.event.holds_on(window.occ, wt),
                 in_A_torus=exp.event.holds_on(torus.occ, tt))
             assert 0 < replayed < len(recorder.attempts)
+            assert (mirror.t_engine.occ, mirror.t_engine.clock,
+                    mirror.t_engine.counts) == (torus.occ, torus.clock,
+                                                torus.counts)
             assert exp.run_one(rep) == expected
 
     def test_t_zero_unblurred_coupled_pairs_agree(self):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from ffp_lab.engine import (GROWTH, IGNITION, Event, ForestFireEngine,
                             TrajectoryRecorder)
-from ffp_lab.errors import EventOrderError, InvalidParameterError
+from ffp_lab.errors import (CapacityError, EventOrderError,
+                            InvalidParameterError)
 from ffp_lab.lattice import (EXPLICIT, TORUS, WINDOW, Topology,
                              build_topology, cluster_of, explicit_topology)
 from ffp_lab.rng import make_rng
@@ -247,19 +248,50 @@ class TestRunUntil:
         with pytest.raises(InvalidParameterError):
             eng.run_until(1.0)
 
-    def test_trajectory_recorder(self, tmp_path):
-        eng = make_engine(seed=7)
-        path = tmp_path / "traj.txt"
-        with open(path, "w") as fh:
-            eng.run_until(1.0, observers=(TrajectoryRecorder(fh),))
-        lines = path.read_text().splitlines()
-        assert len(lines) == sum(eng.counts.values())
-        t_prev = 0.0
-        for line in lines:
-            t, site, kind = line.split()
-            assert float(t) >= t_prev
-            assert kind in (GROWTH, IGNITION)
-            t_prev = float(t)
+    @pytest.mark.parametrize("lam, T, topo", [
+        (1e300, 20.0, lambda: build_topology(1, 1, TORUS)),        # 3 sites
+        (1.0, 1e17, lambda: build_topology(1, 1, TORUS)),
+        (1.0, 2.0 ** 49, lambda: explicit_topology(4, [(0, 1)])),  # 2**52
+    ], ids=["lambda-1e300", "horizon-1e17", "exactly-2**52"])
+    def test_horizon_the_clock_cannot_count_refused(self, lam, T, topo):
+        """T*N*(1 + lambda) >= 2**52 is refused before anything is drawn
+        (a run that is not refused fails at its first block)."""
+        class NoBlock:
+            def on_attempts(self, clocks, sites, growth):
+                raise AssertionError("run_until drew a block")
+
+        eng = ForestFireEngine(topo(), lam, make_rng(5, 0))
+        with pytest.raises(CapacityError, match="2\\*\\*52"):
+            eng.run_until(T, observers=(NoBlock(),))
+        assert eng.clock == 0.0 and sum(eng.counts.values()) == 0
+        assert eng.rng.random() == make_rng(5, 0).random()
+
+    def test_trajectory_recorder(self):
+        """One line per attempt of the reference engine, written one
+        non-empty block at a time, over calls that cross a chunk, land on
+        the clock, or end before their first draw."""
+        class Writes(list):
+            write = list.append
+
+        topo = build_topology(2, 2, TORUS)
+        eng = ForestFireEngine(topo, 1.0, make_rng(7, 0))
+        ref = LabelledEngine(topo, 1.0, make_rng(7, 0))
+        rate = topo.n_sites * 2.0
+        fh, log = Writes(), CallLog()
+        # horizons in expected attempts; "short" ends before the next draw
+        for step in (300.0, 0.0, "short", 1.5 * 4096, 40.0, "short", 4096.0):
+            if step == "short":
+                T = eng.clock + ref._dt[ref._i] / 2
+            else:
+                T = eng.clock + step / rate
+            eng.run_until(T, observers=(TrajectoryRecorder(fh),))
+            ref.run_until(T, observers=(log,))
+            assert eng.clock == ref.clock == T and eng.occ == ref.occ
+        lines = "".join(fh).splitlines()
+        assert len(lines) == sum(eng.counts.values()) > 2 * 4096
+        assert lines == [f"{float(t)!r} {site} {GROWTH if g else IGNITION}"
+                         for t, site, g in log.attempts]
+        assert all(fh) and 1 < len(fh) < len(lines)
 
 
 class TestStreamPreserved:
@@ -330,29 +362,27 @@ class TestStreamPreserved:
         assert self.finish(a) == self.finish(b)
 
     def test_counts_written_back_when_on_attempt_raises(self):
+        """on_attempts raises in the first block, which stays consumed."""
         class Stop(Exception):
             pass
 
-        class StopAtFifth:
-            seen = 0
-
-            def on_attempt(self, engine, site, growth):
-                self.seen += 1
-                self.time = engine.clock
-                if self.seen == 5:
-                    raise Stop
+        class StopAtFirstBlock:
+            def on_attempts(self, clocks, sites, growth):
+                self.clocks = clocks
+                raise Stop
 
         eng = make_engine(seed=14)
-        ob = StopAtFifth()
+        ob = StopAtFirstBlock()
         with pytest.raises(Stop):
             eng.run_until(10.0, observers=(ob,))
-        assert sum(eng.counts.values()) == 5
-        assert eng.clock == ob.time
+        assert sum(eng.counts.values()) == len(ob.clocks) > 1
+        assert eng.clock == ob.clocks[-1]
 
     def test_one_observer_with_all_three_methods(self):
-        """on_attempt runs once per attempt and on_event once per
-        effective event, first and at the same clock; the stream is
-        that of a bare run."""
+        """on_attempts sees every attempt once, in non-empty blocks, and
+        on_event runs once per effective event, before the block that
+        holds its attempt and at that attempt's clock; the stream is that
+        of a bare run."""
         class Log:
             def __init__(self):
                 self.calls = []
@@ -361,8 +391,9 @@ class TestStreamPreserved:
                 assert changed
                 self.calls.append(("event", engine.clock))
 
-            def on_attempt(self, engine, site, growth):
-                self.calls.append(("attempt", engine.clock))
+            def on_attempts(self, clocks, sites, growth):
+                assert len(clocks) == len(sites) == len(growth) > 0
+                self.calls.append(("attempts", clocks))
 
             def accumulate(self, engine):
                 self.calls.append(("accumulate", engine.clock))
@@ -374,36 +405,47 @@ class TestStreamPreserved:
             b.run_until(T, observers=(ob,))
         assert self.finish(a) == self.finish(b)
         kinds = [kind for kind, _ in ob.calls]
-        assert kinds.count("attempt") == sum(b.counts.values())
+        clocks = [t for kind, block in ob.calls if kind == "attempts"
+                  for t in block]
+        assert len(clocks) == sum(b.counts.values())
+        assert clocks == sorted(clocks)
         assert kinds.count("event") == sum(b.effective.values())
-        assert 0 < kinds.count("event") < kinds.count("attempt")
+        assert 0 < kinds.count("event") < len(clocks)
         assert kinds.count("accumulate") == 2
-        for (kind, t), (after, t_after) in zip(ob.calls, ob.calls[1:]):
-            if kind == "event":     # its own attempt comes next
-                assert (after, t_after) == ("attempt", t)
+        events = []             # events whose block has not come yet
+        for kind, x in ob.calls:
+            if kind == "event":
+                events.append(x)
+            elif kind == "attempts":
+                assert set(events) <= set(x)
+                events = []
+            else:
+                assert events == []
 
 
 class CallLog:
-    """Observer keeping every attempt and every state change: a growth
-    as its site, a burn as the set of its sites."""
+    """Observer keeping every state change (a growth as its site, a burn
+    as the set of its sites) and accumulate call in ``calls``, and apart
+    from them every attempt, blocks flattened, in ``attempts``."""
 
     def __init__(self):
-        self.calls = []
+        self.calls, self.attempts = [], []
 
     def on_event(self, engine, changed):
         burn = not engine.occ[changed[0]]
         self.calls.append(("event", engine.clock,
                            frozenset(changed) if burn else tuple(changed)))
 
-    def on_attempt(self, engine, site, growth):
-        self.calls.append(("attempt", engine.clock, site, growth))
+    def on_attempts(self, clocks, sites, growth):
+        self.attempts.extend(zip(clocks, sites, growth))
 
     def accumulate(self, engine):
         self.calls.append(("accumulate", engine.clock))
 
 
 class Raising(CallLog):
-    """A CallLog whose chosen method raises on its n-th call."""
+    """A CallLog whose chosen method raises once, on the call that holds
+    its n-th event or attempt."""
 
     class Stop(Exception):
         pass
@@ -412,20 +454,21 @@ class Raising(CallLog):
         super().__init__()
         self.method, self.left = method, n
 
-    def _count(self):
-        self.left -= 1
-        if self.left == 0:
-            raise self.Stop
+    def _count(self, seen):
+        if self.left > 0:
+            self.left -= seen
+            if self.left <= 0:
+                raise self.Stop
 
     def on_event(self, engine, changed):
         super().on_event(engine, changed)
         if self.method == "on_event":
-            self._count()
+            self._count(1)
 
-    def on_attempt(self, engine, site, growth):
-        super().on_attempt(engine, site, growth)
-        if self.method == "on_attempt":
-            self._count()
+    def on_attempts(self, clocks, sites, growth):
+        super().on_attempts(clocks, sites, growth)
+        if self.method == "on_attempts":
+            self._count(len(clocks))
 
 
 REFERENCE_TOPOLOGIES = {
@@ -481,24 +524,41 @@ class TestAgainstReference:
                 ref.run_until(T, observers=(logs[1],))
             self.assert_same(eng, ref)
         assert logs[0].calls == logs[1].calls
+        assert logs[0].attempts == logs[1].attempts
         kinds = [call[0] for call in logs[0].calls]
         assert kinds.count("accumulate") == len(steps) - steps.count("step")
         assert eng.effective["burn"] > 0
         assert sum(eng.counts.values()) > 3 * 4096
 
     @pytest.mark.parametrize("n", [7, 5000])
-    @pytest.mark.parametrize("method", ["on_attempt", "on_event"])
+    @pytest.mark.parametrize("method", ["on_attempts", "on_event"])
     def test_same_state_after_a_raising_callback(self, method, n):
+        """A raising on_attempts leaves its whole block consumed, so the
+        reference, whose blocks hold one attempt, raises at that block's
+        last attempt.  A raising on_event cuts its block short, and the
+        engine never passes that partial block on."""
         eng, ref = self.pair("torus", 1.0, seed=22)
-        logs = Raising(method, n), Raising(method, n)
-        for engine, log in zip((eng, ref), logs):
-            with pytest.raises(Raising.Stop):
-                engine.run_until(1e4, observers=(log,))
+        log = Raising(method, n)
+        with pytest.raises(Raising.Stop):
+            eng.run_until(1e4, observers=(log,))
+        taken = sum(eng.counts.values())
+        ref_log = Raising(method, taken if method == "on_attempts" else n)
+        with pytest.raises(Raising.Stop):
+            ref.run_until(1e4, observers=(ref_log,))
         self.assert_same(eng, ref)
-        assert logs[0].calls == logs[1].calls
-        assert eng.clock == logs[0].calls[-1][1]
+        assert log.calls == ref_log.calls
+        cut, seen = len(log.attempts), len(ref_log.attempts)
+        assert log.attempts == ref_log.attempts[:cut]
+        if method == "on_attempts":
+            assert cut == seen == taken >= n
+            assert eng.clock == log.attempts[-1][0]
+        else:       # the attempt whose on_event raised is never passed on
+            assert cut < seen == taken - 1
+            assert eng.clock == log.calls[-1][1]
         T = eng.clock + 5.0
-        for engine, log in zip((eng, ref), logs):    # resumes alike
-            engine.run_until(T, observers=(log,))
+        for engine, lg in ((eng, log), (ref, ref_log)):    # resumes alike
+            engine.run_until(T, observers=(lg,))
         self.assert_same(eng, ref)
-        assert logs[0].calls == logs[1].calls
+        assert log.calls == ref_log.calls
+        assert log.attempts == (ref_log.attempts[:cut]
+                                + ref_log.attempts[seen:])
