@@ -37,6 +37,7 @@ IGNITION = "ignition"
 
 _CHUNK = 4096
 _MARGIN = 16                    # draws decoded past the expected count
+_BLOCK = 1024                   # most draws in one block, which bounds its lists
 
 
 class Event(NamedTuple):
@@ -201,7 +202,8 @@ class ForestFireEngine:
                     drawn += _CHUNK
                     i = 0
                 # a block of the expected attempts before T, and a margin
-                end = i + int(min((T - clock) * rate + _MARGIN, _CHUNK - i))
+                end = i + int(min((T - clock) * rate + _MARGIN, _CHUNK - i,
+                                  _BLOCK))
                 ts = self._dt[i:end].copy()
                 ts[0] += clock
                 np.cumsum(ts, out=ts)

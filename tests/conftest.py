@@ -1,31 +1,27 @@
+import os
+
 import pytest
 
 
 @pytest.fixture
-def fake_pool(monkeypatch):
-    """Replace the process pool that `ffp_lab.parallel.run_chunked`
-    imports from concurrent.futures with one that runs its initializer
-    and each mapped call in this process; returns the max_workers of
-    every pool opened."""
-    import concurrent.futures
-
+def forks(monkeypatch):
+    """Wrap the real os.fork and `ffp_lab.parallel.run_chunked`; returns
+    one list per `run_chunked` call of the worker pids it forked (empty
+    for a run that computes in this process)."""
     from ffp_lab import parallel
-    sizes = []
-    monkeypatch.setattr(parallel, "_run", None)   # restored after the test
+    fanouts = []
+    fork, run_chunked = os.fork, parallel.run_chunked
 
-    class FakePool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
+    def recorded_fork():
+        pid = fork()
+        if pid:                         # in the parent
+            fanouts[-1].append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    def recorded_run(*args, **kwargs):
+        fanouts.append([])
+        return run_chunked(*args, **kwargs)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize):
-            return [fn(x) for x in iterable]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    return sizes
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(parallel, "run_chunked", recorded_run)
+    return fanouts

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -209,14 +210,15 @@ class TestDecayExperiment:
         assert blur_decay_experiment(*args, jobs=1) == \
             blur_decay_experiment(*args, jobs=3)
 
-    def test_one_pool_for_every_L(self, fake_pool):
-        """The whole (L, replica) grid fans out through one process pool
-        (a fake one, run in this process)."""
+    def test_one_pool_for_every_L(self, forks):
+        """The whole (L, replica) grid fans out once, over real forked
+        workers; the serial run forks none."""
         args = (2, 1.0, (0, 0), 0, [3, 1], [0.02, 0.1], 12,
                 {"kind": "bernoulli", "p": 0.4}, 7)
         serial = blur_decay_experiment(*args, jobs=1)
         assert blur_decay_experiment(*args, jobs=3) == serial
-        assert len(fake_pool) == 1
+        assert [len(pids) for pids in forks] == \
+            [0, min(3, len(os.sched_getaffinity(0)))]
 
     def test_replicas_required(self):
         with pytest.raises(InvalidParameterError, match="at least one replica"):

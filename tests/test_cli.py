@@ -640,9 +640,9 @@ def test_jobs_defaults_to_one_whatever_the_environment(monkeypatch):
     assert args.jobs == 1
 
 
-def test_pool_size_bounded_by_chunks_and_cpus(fake_pool):
-    """A fork-started pool launches every worker at the first submit, so
-    the pool is never sized by --jobs alone (no real pool is started)."""
+def test_pool_size_bounded_by_chunks_and_cpus(forks):
+    """The fan-out forks at most one worker per replica and per usable
+    CPU, never --jobs alone."""
     from ffp_lab import parallel
 
     def squares(payload, r):
@@ -650,27 +650,33 @@ def test_pool_size_bounded_by_chunks_and_cpus(fake_pool):
 
     out = parallel.run_chunked(squares, 2, 5, jobs=10**6)
     assert out == [squares(2, r) for r in range(5)]
-    assert fake_pool == [min(5, len(os.sched_getaffinity(0)))]
+    assert [len(pids) for pids in forks] == [min(5, len(os.sched_getaffinity(0)))]
 
 
 def test_modules_load_only_where_a_run_uses_them(tmp_path):
-    """The CLI import loads neither the pool machinery nor numpy.random,
-    and an exact run, which draws no random number, leaves numpy.random
-    unloaded."""
+    """The CLI import loads neither the pool machinery nor numpy.random.
+    An exact run, which draws no random number, leaves numpy.random
+    unloaded, and the forked fan-outs of couple and blur-decay at
+    --jobs 2 load no pool machinery."""
     code = ("import sys\n"
             "from ffp_lab.cli import main\n"
-            "lazy = ('concurrent.futures', 'multiprocessing', 'numpy.random')\n"
-            "loaded = [m for m in lazy if m in sys.modules]\n"
+            "pool = ('concurrent.futures', 'multiprocessing')\n"
+            "loaded = [m for m in pool + ('numpy.random',) if m in sys.modules]\n"
             "assert not loaded, f'{loaded} imported by ffp_lab.cli'\n"
             "assert main(sys.argv[1:]) == 0\n"
-            "assert 'numpy.random' not in sys.modules, 'loaded by exact'\n")
+            "exact = ('numpy.random',) if sys.argv[1] == 'exact' else ()\n"
+            "loaded = [m for m in pool + exact if m in sys.modules]\n"
+            "assert not loaded, f'{loaded} loaded by {sys.argv[1]}'\n")
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", code, "exact",
-         "--manifest", str(write_manifest(tmp_path, EXACT)),
-         "--out", str(tmp_path / "out")], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)))
-    assert done.returncode == 0, done.stderr
+    for manifest, jobs in ((EXACT, 1), (COUPLE, 2), (BLUR, 2)):
+        kind = manifest["kind"]
+        done = subprocess.run(
+            [sys.executable, "-c", code, kind,
+             "--manifest", str(write_manifest(tmp_path, manifest, f"{kind}.json")),
+             "--jobs", str(jobs), "--out", str(tmp_path / kind)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("manifest", [COUPLE, MU_SCAN],
