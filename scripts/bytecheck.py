@@ -93,6 +93,16 @@ MANIFESTS = {
                           "k": 1, "mode": "torus",
                           "window": [[0, 0], [1, 0]], "horizon": 1000.0,
                           "burn_in": 10.0, "seed": 19},
+    # wide batch tables: the full 3 x 3 window (up to 512 codes, sparse)
+    # over a short horizon, and site densities in a single batch
+    "stationary-wide": {"kind": "stationary", "lambda": 1.0, "d": 2, "k": 1,
+                        "mode": "torus", "window": [[x, y] for x in (-1, 0, 1)
+                                                    for y in (-1, 0, 1)],
+                        "horizon": 60.0, "burn_in": 2.0, "seed": 23},
+    "simulate-one-batch": {"kind": "simulate", "lambda": 0.5, "d": 2, "k": 2,
+                           "horizon": 20.0, "burn_in": 2.0, "n_batches": 1,
+                           "seed": 29, "init": {"kind": "bernoulli",
+                                                "p": 0.5}},
     # refused: a validation error (exit 2), a capacity error (exit 3),
     # a default burn-in, max(10 x 9 sites, 8), not below the horizon (exit 2)
     # and a window naming a site twice (exit 2)

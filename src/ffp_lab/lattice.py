@@ -35,10 +35,10 @@ MAX_BANK_SITES = 3 * 10**7
 # Largest window of a pattern measure, which keys up to 2^sites codes.
 MAX_WINDOW_SITES = 20
 # Largest time-batch table of simulate or stationary, as batches x (2 +
-# keys one row can credit: the sites, or the 2^sites window patterns).
-# A batch costs about 280 B and a row entry 100-140 B, so a batch counts
-# as two entries.  The bound admits the default 20 batches on the largest
-# lattice or window above: about 3 GB if every row credits every key.
+# keys one row can hold: the sites, or the 2^sites window patterns).  A
+# cell costs 8 B and up to 26 B more at the readout, and a row about 100
+# B (tracemalloc, 40,401 sites x 20 batches).  The bound admits the default
+# 20 batches on the largest lattice or window above: about 1 GB at most.
 MAX_BATCH_CELLS = 3 * 10**7
 
 

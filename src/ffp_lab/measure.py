@@ -10,7 +10,6 @@ independent oracle for the Monte Carlo path.
 
 import bisect
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,6 @@ from .errors import (CapacityError, InvalidParameterError,
 from .lattice import (MAX_WINDOW_SITES, Coord, Topology, build_topology,
                       check_box_cap)
 from .rng import make_rng
-from .stats import paired_se
 
 DEFAULT_STATE_CAP = 16
 DEFAULT_BATCHES = 20      # batch-means batches of an estimated measure
@@ -81,15 +79,16 @@ class EmpiricalMeasure:
     """Weighted occupancy-pattern distribution on a finite window.
 
     ``weights`` maps pattern codes to total weight: holding time for a
-    time average, a snapshot count for a snapshot measure.  ``batches``
-    holds (size, weights) pairs used for batch-means standard errors and
-    bootstrap resampling.
+    time average, a snapshot count for a snapshot measure.  For batch
+    means and bootstrap resamples, ``batch_weights`` has a row per batch
+    (of size ``batch_sizes[b]``) and a column per code, codes ascending.
     """
 
     window: tuple[Coord, ...]
     weights: dict
     total: float
-    batches: list = field(default_factory=list)
+    batch_sizes: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    batch_weights: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     @property
     def width(self) -> int:
@@ -105,47 +104,57 @@ class EmpiricalMeasure:
             return 0.0
         return self.weights.get(code, 0.0) / self.total
 
+    def stderrs(self) -> np.ndarray:
+        """Batch-means standard errors, in ascending code order."""
+        return _col_se(self.batch_weights, self.batch_sizes, len(self.weights))
+
     def stderr(self, code: int) -> float:
         """Batch-means standard error of one pattern probability."""
-        return paired_se([w.get(code, 0.0) / size for size, w in self.batches])
+        se = dict(zip(sorted(self.weights), self.stderrs().tolist()))
+        return se.get(code, 0.0)
 
     def rows(self):
         """CSV rows: pattern bitstring, weight, probability, stderr."""
-        for code in sorted(self.weights):
+        for code, se in zip(sorted(self.weights), self.stderrs().tolist()):
             yield (pattern_bitstring(code, self.width), self.weights[code],
-                   self.probability(code), self.stderr(code))
+                   self.probability(code), se)
+
+
+def _col_se(table, sizes, width) -> np.ndarray:
+    """stats.paired_se of each column's batch means, to the double."""
+    if len(sizes) < 2:
+        return np.zeros(width)
+    means = np.ascontiguousarray((table / sizes[:, None]).T)
+    return means.std(axis=1, ddof=1) / math.sqrt(len(sizes))
 
 
 def measure_from_snapshots(topology, window, snapshots) -> EmpiricalMeasure:
     """Snapshot-count measure from an ordered list of configurations."""
     window = canonical_window(topology, window)
-    weights: dict = defaultdict(float)
-    codes = [window_pattern(cfg, topology, window) for cfg in snapshots]
-    for code in codes:
-        weights[code] += 1.0
-    n = len(codes)
-    batches = []
-    nb = min(DEFAULT_BATCHES, n)
-    if nb >= 2:
-        edges = np.linspace(0, n, nb + 1).astype(int)
-        for a, b in zip(edges[:-1], edges[1:]):
-            w: dict = defaultdict(float)
-            for code in codes[a:b]:
-                w[code] += 1.0
-            batches.append((float(b - a), dict(w)))
-    return EmpiricalMeasure(window, dict(weights), float(n), batches)
+    raw = [window_pattern(cfg, topology, window) for cfg in snapshots]
+    codes = sorted(set(raw))            # np.unique would page in 0.6 MB
+    n, width, nb = len(raw), len(codes), min(DEFAULT_BATCHES, len(raw))
+    col = np.searchsorted(codes, raw)
+    edges = np.linspace(0, n, nb + 1).astype(int)
+    cell = np.repeat(np.arange(nb), np.diff(edges)) * width + col
+    table = np.bincount(cell, np.ones(n), nb * width).reshape(nb, width)
+    nb = nb if nb >= 2 else 0           # no batches under two
+    return EmpiricalMeasure(            # counts: exact sums in any order
+        window, dict(zip(codes, table.sum(axis=0).tolist())),
+        float(n), table.sum(axis=1)[:nb], table[:nb])
 
 
 # ---------------------------------------------------------------------------
 # Observers
 
 class _TimeBatches:
-    """One time integrator over equal batches of [t_start, t_end).
+    """One time integrator over equal batches of [t_start, t_end): a
+    row per batch, an ``array('d')`` with a cell per column, and ``keys``
+    the keys (window pattern codes, or sites) in column order.
 
-    Keys (window pattern codes, or occupied sites) are active or not.
-    An active key keeps an "active since" stamp (Newman & Ziff, PRE 64,
-    016706, 2001) and is credited to the current batch when it stops
-    and, with every active key, at each batch edge, so an event costs
+    An active column keeps an "active since" stamp (Newman & Ziff, PRE
+    64, 016706, 2001) and is credited to the current row when it stops
+    and, with every active column, at each batch edge, so an event costs
     O(keys it starts or stops).  ``_t`` is the engine clock last seen,
     held at t_end: ``on_event`` advances it to each state change and
     ``accumulate(engine)``, called once per run, to the run's end.  Row 0
@@ -154,7 +163,7 @@ class _TimeBatches:
     split does not depend on where the clock was read.
     """
 
-    def __init__(self, engine, t_start, t_end, n_batches, active):
+    def __init__(self, engine, t_start, t_end, n_batches, keys, active):
         if t_end <= t_start:
             raise InvalidParameterError("observation horizon must exceed its start")
         if n_batches < 1:
@@ -165,26 +174,25 @@ class _TimeBatches:
                       for j in range(n_batches)] + [t_end]
         self._t = min(engine.clock, t_end)
         self._t0 = max(self._t, t_start)
-        self.since = dict.fromkeys(active, self._t)
-        self._row = defaultdict(float)   # key -> credited time, this batch
-        self.rows = [self._row]
-        self._hi = t_start
-        self._cross(self._t)
+        self.keys, self.since = keys, dict.fromkeys(active, self._t)
+        self._row, self.rows, self._hi = None, [], -math.inf
+        self._cross(self._t)            # opens row 0, up to t_start
 
     def _credit(self, t):
-        """Credit every active key up to t, in the current batch."""
+        """Credit every active column up to t, in the current row."""
         row, since = self._row, self.since
-        for key, s in since.items():
+        for col, s in since.items():
             if t > s:
-                row[key] += t - s
-                since[key] = t
+                row[col] += t - s
+                since[col] = t
 
     def _cross(self, t):
         """Close every batch that ends before t."""
+        from array import array         # 0.1 MB: only observers load it
         edges, rows = self.edges, self.rows
         while t > self._hi and len(rows) < len(edges):
             self._credit(self._hi)
-            self._row = defaultdict(float)
+            self._row = array("d", bytes(8 * len(self.keys)))
             rows.append(self._row)
             self._hi = edges[len(rows) - 1]
 
@@ -198,61 +206,75 @@ class _TimeBatches:
     def accumulate(self, engine):
         self._advance(engine.clock)
 
-    def measure(self) -> EmpiricalMeasure:
-        """Credited time per key over the observed time; the batches
-        carry the per-batch rows for batch-means errors."""
+    def _table(self):
+        """(sizes, credited time per column, batches x columns table) of
+        the batches observed for some time; no other has credit."""
         self._credit(self._t)
-        weights: dict = defaultdict(float)
-        batches = []
-        edges = self.edges
-        for lo, hi, row in zip(edges, edges[1:], self.rows[1:]):
-            size = min(hi, self._t) - max(lo, self._t0)
-            if size > 0:
-                batches.append((size, dict(row)))
-            for key, w in row.items():
-                weights[key] += w
-        total = float(np.sum([size for size, _ in batches]))
-        return EmpiricalMeasure(self.window, dict(weights), total, batches)
+        t, t0, edges = self._t, self._t0, self.edges
+        kept = [(min(hi, t) - max(lo, t0), row) for lo, hi, row
+                in zip(edges, edges[1:], self.rows[1:])
+                if min(hi, t) > max(lo, t0)]
+        table = np.zeros((len(kept), len(self.keys)), order="F")
+        for dst, (_, row) in zip(table, kept):
+            dst[:len(row)] = row
+        return (np.array([size for size, _ in kept]),
+                sum(table, np.zeros(table.shape[1])), table)  # rows in order
+
+    def measure(self) -> EmpiricalMeasure:
+        """Credited time per key over the observed time; the table holds
+        the keys credited, ascending."""
+        sizes, sums, table = self._table()
+        keys = list(self.keys)          # np.argsort would page in 0.5 MB
+        cols = sorted(np.flatnonzero(sums).tolist(), key=keys.__getitem__)
+        return EmpiricalMeasure(
+            self.window, {keys[j]: float(sums[j]) for j in cols},
+            float(np.sum(sizes)), sizes, table[:, cols])
 
 
 class MarginalObserver(_TimeBatches):
     """Time-weighted pattern distribution on a window, with time batches;
-    its one active key is the window's pattern code."""
+    its one active key is the window's pattern code, keyed to a column."""
 
     def __init__(self, engine: ForestFireEngine, window, t_start, t_end,
                  n_batches):
         topology = engine.topology
         self.window = canonical_window(topology, window)
-        self.bit_of = {topology.index_of[c]: j for j, c in enumerate(self.window)}
+        bits = {c: 1 << j for j, c in enumerate(self.window)}
+        self.mask = [bits.get(c, 0) for c in topology.coords]   # 8 B a site
         self.code = window_pattern(engine.occ, topology, self.window)
-        super().__init__(engine, t_start, t_end, n_batches, (self.code,))
+        self.col = 0                    # keys maps each code to its column
+        super().__init__(engine, t_start, t_end, n_batches, {self.code: 0},
+                         (0,))
 
     # bound in each observer's body, where bench/spans.py wraps it
     accumulate = _TimeBatches.accumulate
 
     def on_event(self, engine, changed):
         self._advance(engine.clock)
-        code, bit_of = self.code, self.bit_of
+        code, mask = self.code, self.mask
         for site in changed:
-            bit = bit_of.get(site)
-            if bit is not None:
-                code ^= 1 << bit
+            code ^= mask[site]
         if code != self.code:
-            t, since = self._t, self.since
-            s = since.pop(self.code)
+            t, since, col = self._t, self.since, self.col
+            s = since.pop(col)
             if t > s:
-                self._row[self.code] += t - s
-            since[code] = t
-            self.code = code
+                self._row[col] += t - s
+            col = self.keys.get(code)
+            if col is None:             # a new code: only this row grows
+                col = self.keys[code] = len(self.keys)
+                self._row.append(0.0)
+            since[col] = t
+            self.code, self.col = code, col
 
 
 class SiteDensityObserver(_TimeBatches):
     """Per-site occupation density with time batches; its active keys
-    are the occupied sites, and ``measure()`` is keyed by site index."""
+    are the occupied sites, a site's column is its index."""
 
     def __init__(self, engine: ForestFireEngine, t_start, t_end, n_batches):
         self.window = tuple(engine.topology.coords)
         super().__init__(engine, t_start, t_end, n_batches,
+                         range(len(self.window)),
                          [i for i, v in enumerate(engine.occ) if v])
 
     accumulate = _TimeBatches.accumulate
@@ -270,10 +292,10 @@ class SiteDensityObserver(_TimeBatches):
 
     def densities(self):
         """(density, stderr) arrays over sites, batch-means errors."""
-        m = self.measure()
-        sites = range(len(self.window))
-        return (np.array([m.probability(i) for i in sites]),
-                np.array([m.stderr(i) for i in sites]))
+        sizes, sums, table = self._table()
+        total = float(np.sum(sizes))
+        return (sums / total if total > 0 else np.zeros(len(sums)),
+                _col_se(table, sizes, len(sums)))
 
 
 def estimate_marginal(engine: ForestFireEngine, window, burn_in, horizon,
@@ -522,13 +544,13 @@ def _resampler(m: EmpiricalMeasure, codes: list, rng):
     draw order, or, with fewer than two batches, a multinomial draw of
     m's weights.  A code that a row lacks adds 0.0, so each weight is
     the double that adding only the codes drawn gives."""
-    pos = {c: j for j, c in enumerate(codes)}
-    nb = len(m.batches)
+    own = sorted(m.weights)
+    at = np.searchsorted(codes, own)    # codes ascending
+    nb = len(m.batch_sizes)
     if nb >= 2:
-        sizes = [size for size, _ in m.batches]
+        sizes = m.batch_sizes.tolist()
         rows = np.zeros((nb, len(codes)))
-        for row, (_, w) in zip(rows, m.batches):
-            row[[pos[c] for c in w]] = list(w.values())
+        rows[:, at] = m.batch_weights
 
         def draw():
             acc, total = np.zeros(len(codes)), 0.0
@@ -537,8 +559,6 @@ def _resampler(m: EmpiricalMeasure, codes: list, rng):
                 total += sizes[i]
             return acc, total
         return draw
-    own = sorted(m.weights)
-    at = [pos[c] for c in own]
     n = max(int(round(m.total)), 1)
     pv = np.array([m.weights[c] for c in own]) / m.total
 

@@ -29,6 +29,8 @@ def run_chunked(fn, payload, n: int, jobs: int) -> list:
         return [fn(payload, r) for r in range(n)]
     workers = min(jobs, n, len(os.sched_getaffinity(0)))
     out, pids, pipes, reaped = [None] * n, [], [], 0
+    # a signal sent to this thread waits until every forked pid is in pids
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
     try:
         for w in range(workers):
             rfd, wfd = os.pipe()
@@ -36,6 +38,7 @@ def run_chunked(fn, payload, n: int, jobs: int) -> list:
             pid = os.fork()
             if pid == 0:                # a worker leaves only by os._exit
                 try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     with open(wfd, "wb") as fh:
                         fh.write(_outcome(fn, payload, range(w, n, workers)))
                     os._exit(0)
@@ -43,6 +46,7 @@ def run_chunked(fn, payload, n: int, jobs: int) -> list:
                     os._exit(1)
             os.close(wfd)               # the pipe reads EOF once w exits
             pids.append(pid)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for w, pid in enumerate(pids):
             data = pipes[w].read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -60,3 +64,4 @@ def run_chunked(fn, payload, n: int, jobs: int) -> list:
         for pid in pids[reaped:]:       # left unreaped only by a raise
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)

@@ -10,11 +10,14 @@ resampled on arrays: one dict-built measure per resample and
 ``np.quantile`` for the percentiles.
 ``LabelledEngine`` is the engine as it was before ``run_until`` decoded
 its draws in numpy blocks: one scalar step per draw, and a cluster-label
-index kept on every growth.
+index kept on every growth.  ``MarginalObserver``,
+``SiteDensityObserver`` and ``measure_from_snapshots`` are the time
+integrator and the snapshot measure as they were before batches became
+float tables: one dict per batch, read out as a ``DictMeasure``.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -25,10 +28,10 @@ from ffp_lab.coupling import (CoupledExperiment, CoupleParams, Lemma1Report,
 from ffp_lab.engine import (_CHUNK, GROWTH, IGNITION, Event,
                             ForestFireEngine, _config_bytes)
 from ffp_lab.errors import InvalidParameterError
-from ffp_lab.lattice import TORUS, Topology
-from ffp_lab.measure import (CylinderEvent, EmpiricalMeasure,
+from ffp_lab.lattice import TORUS, Coord, Topology
+from ffp_lab.measure import (DEFAULT_BATCHES, CylinderEvent, EmpiricalMeasure,
                              ExactDistribution, canonical_window,
-                             default_burn_in, total_variation)
+                             default_burn_in, total_variation, window_pattern)
 from ffp_lab.rng import make_rng
 from ffp_lab.sampling import SnapshotBank
 from ffp_lab.stats import paired_se
@@ -62,15 +65,17 @@ def measure_from_probabilities(window, probs) -> EmpiricalMeasure:
 # Bootstrap interval of the total variation
 
 def _bootstrap_measure(m: EmpiricalMeasure, rng) -> EmpiricalMeasure:
-    if len(m.batches) >= 2:
-        idx = rng.integers(0, len(m.batches), len(m.batches))
+    nb = len(m.batch_sizes)
+    if nb >= 2:
+        idx = rng.integers(0, nb, nb)
+        codes = sorted(m.weights)
         weights: dict = defaultdict(float)
         total = 0.0
         for i in idx:
-            size, w = m.batches[i]
-            total += size
-            for c, v in w.items():
-                weights[c] += v
+            total += float(m.batch_sizes[i])
+            for c, v in zip(codes, m.batch_weights[i].tolist()):
+                if v:                   # the codes that batch credits
+                    weights[c] += v
         return EmpiricalMeasure(m.window, dict(weights), total)
     # no batch structure: multinomial resample of the weights
     codes = sorted(m.weights)
@@ -90,6 +95,170 @@ def total_variation_ci(p: EmpiricalMeasure, q: EmpiricalMeasure, rng,
              for _ in range(n_boot)]
     lo, hi = np.quantile(draws, [(1 - 0.95) / 2, (1 + 0.95) / 2])
     return tv, float(lo), float(hi)
+
+
+# ---------------------------------------------------------------------------
+# Dict time integrator and snapshot measure
+
+@dataclass
+class DictMeasure:
+    """A measure whose ``batches`` are (size, code -> weight) pairs."""
+
+    window: tuple[Coord, ...]
+    weights: dict
+    total: float
+    batches: list = field(default_factory=list)
+
+    def probability(self, code: int) -> float:
+        if self.total <= 0:
+            return 0.0
+        return self.weights.get(code, 0.0) / self.total
+
+    def stderr(self, code: int) -> float:
+        """Batch-means standard error of one pattern probability."""
+        return paired_se([w.get(code, 0.0) / size for size, w in self.batches])
+
+
+def measure_from_snapshots(topology, window, snapshots) -> DictMeasure:
+    """Snapshot-count measure from an ordered list of configurations."""
+    window = canonical_window(topology, window)
+    weights: dict = defaultdict(float)
+    codes = [window_pattern(cfg, topology, window) for cfg in snapshots]
+    for code in codes:
+        weights[code] += 1.0
+    n = len(codes)
+    batches = []
+    nb = min(DEFAULT_BATCHES, n)
+    if nb >= 2:
+        edges = np.linspace(0, n, nb + 1).astype(int)
+        for a, b in zip(edges[:-1], edges[1:]):
+            w: dict = defaultdict(float)
+            for code in codes[a:b]:
+                w[code] += 1.0
+            batches.append((float(b - a), dict(w)))
+    return DictMeasure(window, dict(weights), float(n), batches)
+
+
+class _TimeBatches:
+    """One time integrator over equal batches of [t_start, t_end), one
+    dict row per batch, with active-since stamps per key; row 0 takes the
+    time before t_start and is not read out."""
+
+    def __init__(self, engine, t_start, t_end, n_batches, active):
+        if t_end <= t_start:
+            raise InvalidParameterError("observation horizon must exceed its start")
+        if n_batches < 1:
+            raise InvalidParameterError("need at least one time batch")
+        batch_len = (t_end - t_start) / n_batches
+        self.t_end = t_end
+        self.edges = [t_start + j * batch_len   # edges[j] ends rows[j]
+                      for j in range(n_batches)] + [t_end]
+        self._t = min(engine.clock, t_end)
+        self._t0 = max(self._t, t_start)
+        self.since = dict.fromkeys(active, self._t)
+        self._row = defaultdict(float)   # key -> credited time, this batch
+        self.rows = [self._row]
+        self._hi = t_start
+        self._cross(self._t)
+
+    def _credit(self, t):
+        """Credit every active key up to t, in the current batch."""
+        row, since = self._row, self.since
+        for key, s in since.items():
+            if t > s:
+                row[key] += t - s
+                since[key] = t
+
+    def _cross(self, t):
+        """Close every batch that ends before t."""
+        edges, rows = self.edges, self.rows
+        while t > self._hi and len(rows) < len(edges):
+            self._credit(self._hi)
+            self._row = defaultdict(float)
+            rows.append(self._row)
+            self._hi = edges[len(rows) - 1]
+
+    def _advance(self, t):
+        """Move to engine time t, closing every batch that ends before it."""
+        if t > self._hi:
+            self._cross(t)
+            t = min(t, self.t_end)
+        self._t = t
+
+    def accumulate(self, engine):
+        self._advance(engine.clock)
+
+    def measure(self) -> DictMeasure:
+        """Credited time per key over the observed time; the batches
+        carry the per-batch rows for batch-means errors."""
+        self._credit(self._t)
+        weights: dict = defaultdict(float)
+        batches = []
+        edges = self.edges
+        for lo, hi, row in zip(edges, edges[1:], self.rows[1:]):
+            size = min(hi, self._t) - max(lo, self._t0)
+            if size > 0:
+                batches.append((size, dict(row)))
+            for key, w in row.items():
+                weights[key] += w
+        total = float(np.sum([size for size, _ in batches]))
+        return DictMeasure(self.window, dict(weights), total, batches)
+
+
+class MarginalObserver(_TimeBatches):
+    """Time-weighted pattern distribution on a window, with time batches;
+    its one active key is the window's pattern code."""
+
+    def __init__(self, engine: ForestFireEngine, window, t_start, t_end,
+                 n_batches):
+        topology = engine.topology
+        self.window = canonical_window(topology, window)
+        self.bit_of = {topology.index_of[c]: j for j, c in enumerate(self.window)}
+        self.code = window_pattern(engine.occ, topology, self.window)
+        super().__init__(engine, t_start, t_end, n_batches, (self.code,))
+
+    def on_event(self, engine, changed):
+        self._advance(engine.clock)
+        code, bit_of = self.code, self.bit_of
+        for site in changed:
+            bit = bit_of.get(site)
+            if bit is not None:
+                code ^= 1 << bit
+        if code != self.code:
+            t, since = self._t, self.since
+            s = since.pop(self.code)
+            if t > s:
+                self._row[self.code] += t - s
+            since[code] = t
+            self.code = code
+
+
+class SiteDensityObserver(_TimeBatches):
+    """Per-site occupation density with time batches; its active keys
+    are the occupied sites, and ``measure()`` is keyed by site index."""
+
+    def __init__(self, engine: ForestFireEngine, t_start, t_end, n_batches):
+        self.window = tuple(engine.topology.coords)
+        super().__init__(engine, t_start, t_end, n_batches,
+                         [i for i, v in enumerate(engine.occ) if v])
+
+    def on_event(self, engine, changed):
+        self._advance(engine.clock)
+        t, occ, since, row = self._t, engine.occ, self.since, self._row
+        for i in changed:
+            if occ[i]:
+                since[i] = t
+            else:
+                s = since.pop(i)
+                if t > s:
+                    row[i] += t - s
+
+    def densities(self):
+        """(density, stderr) arrays over sites, batch-means errors."""
+        m = self.measure()
+        sites = range(len(self.window))
+        return (np.array([m.probability(i) for i in sites]),
+                np.array([m.stderr(i) for i in sites]))
 
 
 # ---------------------------------------------------------------------------

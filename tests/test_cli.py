@@ -657,15 +657,17 @@ def test_modules_load_only_where_a_run_uses_them(tmp_path):
     """The CLI import loads neither the pool machinery nor numpy.random.
     An exact run, which draws no random number, leaves numpy.random
     unloaded, and the forked fan-outs of couple and blur-decay at
-    --jobs 2 load no pool machinery."""
+    --jobs 2 load no pool machinery.  None of these runs has a time
+    integrator, so none loads the array module of its batch rows."""
     code = ("import sys\n"
             "from ffp_lab.cli import main\n"
             "pool = ('concurrent.futures', 'multiprocessing')\n"
-            "loaded = [m for m in pool + ('numpy.random',) if m in sys.modules]\n"
+            "loaded = [m for m in pool + ('numpy.random', 'array')\n"
+            "          if m in sys.modules]\n"
             "assert not loaded, f'{loaded} imported by ffp_lab.cli'\n"
             "assert main(sys.argv[1:]) == 0\n"
             "exact = ('numpy.random',) if sys.argv[1] == 'exact' else ()\n"
-            "loaded = [m for m in pool + exact if m in sys.modules]\n"
+            "loaded = [m for m in pool + exact + ('array',) if m in sys.modules]\n"
             "assert not loaded, f'{loaded} loaded by {sys.argv[1]}'\n")
     src = Path(__file__).resolve().parent.parent / "src"
     for manifest, jobs in ((EXACT, 1), (COUPLE, 2), (BLUR, 2)):

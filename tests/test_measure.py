@@ -384,15 +384,20 @@ class TestObserverBatches:
         return edges + np.linspace(self.T0, self.T1, 997)[1:-1].tolist()
 
     def assert_same_measure(self, whole, cut, n_batches=NB):
-        """Equal totals, weights and per-batch rows, to 1e-12."""
-        assert len(whole.batches) == len(cut.batches) == n_batches
-        pairs = zip([(whole.total, whole.weights)] + whole.batches,
-                    [(cut.total, cut.weights)] + cut.batches)
-        for (t_a, w_a), (t_b, w_b) in pairs:
-            assert t_a == pytest.approx(t_b, abs=1e-12)
-            assert w_a.keys() == w_b.keys()
-            for key in w_a:
-                assert w_a[key] == pytest.approx(w_b[key], abs=1e-12)
+        """Equal totals, weights and per-batch rows, to 1e-12: the same
+        keys credited in each batch, with the same times."""
+        assert len(whole.batch_sizes) == len(cut.batch_sizes) == n_batches
+        assert whole.total == pytest.approx(cut.total, abs=1e-12)
+        assert whole.weights.keys() == cut.weights.keys()
+        for key in whole.weights:
+            assert whole.weights[key] == pytest.approx(cut.weights[key],
+                                                       abs=1e-12)
+        np.testing.assert_allclose(cut.batch_sizes, whole.batch_sizes,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(cut.batch_weights > 0,
+                                      whole.batch_weights > 0)
+        np.testing.assert_allclose(cut.batch_weights, whole.batch_weights,
+                                   rtol=0, atol=1e-12)
 
     def test_marginal_split_independent_of_cuts(self):
         def make(eng):
@@ -460,6 +465,69 @@ class TestObserverBatches:
         np.testing.assert_allclose(dens, occupied_time / 38.0, rtol=0,
                                    atol=1e-12)
         assert eng.snapshot() == ref.snapshot()
+
+
+class TestAgainstDictIntegrator:
+    """The batch tables against the dict integrator and snapshot measure
+    kept in ``oracles``: the same doubles in every weight, batch size,
+    batch cell, density and standard error."""
+
+    WINDOWS = {"1-site": [(0, 0)], "2-site": [(0, 0), (1, 0)],
+               "12-site": [(x, y) for x in (-2, -1, 0, 1) for y in (-1, 0, 1)]}
+
+    def assert_same(self, got, ref):
+        codes = sorted(ref.weights)
+        assert got.weights == ref.weights
+        assert {type(w) for w in got.weights.values()} <= {float}
+        assert got.total == ref.total
+        assert got.batch_sizes.tolist() == [size for size, _ in ref.batches]
+        assert got.batch_weights.shape == (len(ref.batches), len(codes))
+        for row, (_, w) in zip(got.batch_weights.tolist(), ref.batches):
+            assert w.keys() <= set(codes)
+            assert row == [w.get(c, 0.0) for c in codes]
+        se = [ref.stderr(c) for c in codes]
+        assert [got.stderr(c) for c in codes] == se
+        assert [row[3] for row in got.rows()] == se
+        assert got.stderr(max(codes, default=0) + 1) == 0.0
+
+    def observe(self, integrator, window, n_batches, t_attach, t_last):
+        """A marginal and the site densities for [3, 40) of one seeded
+        torus trajectory, attached at t_attach and run on to t_last."""
+        topo = build_topology(2, 2, TORUS)
+        eng = ForestFireEngine(topo, 0.7, make_rng(21, n_batches))
+        eng.run_until(t_attach)
+        obs = (integrator.MarginalObserver(eng, window, 3.0, 40.0, n_batches),
+               integrator.SiteDensityObserver(eng, 3.0, 40.0, n_batches))
+        for t in (3.0, 40.0, t_last):
+            eng.run_until(t, observers=obs)
+        return obs
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("n_batches", [1, 7, 20])
+    @pytest.mark.parametrize("t_attach, t_last", [(3.0, 40.0), (0.5, 50.0)],
+                             ids=["inside", "before-and-past"])
+    def test_observers_same_doubles(self, window, n_batches, t_attach,
+                                    t_last):
+        args = (self.WINDOWS[window], n_batches, t_attach, t_last)
+        marginal, density = self.observe(measure, *args)
+        ref_marginal, ref_density = self.observe(oracles, *args)
+        self.assert_same(marginal.measure(), ref_marginal.measure())
+        self.assert_same(density.measure(), ref_density.measure())
+        for got, ref in zip(density.densities(), ref_density.densities()):
+            assert got.tolist() == ref.tolist()
+        if window == "12-site":         # many sparse codes
+            assert len(marginal.measure().weights) > 20
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 19, 47])
+    def test_snapshot_measure_same_doubles(self, n):
+        topo = build_topology(2, 2, TORUS)
+        gen = np.random.default_rng(n)
+        snaps = [bytes(gen.integers(0, 2, topo.n_sites).tolist())
+                 for _ in range(n)]
+        window = self.WINDOWS["12-site"]
+        self.assert_same(measure.measure_from_snapshots(topo, window, snaps),
+                         oracles.measure_from_snapshots(topo, window, snaps))
+
 
 class TestMeasureAlgebra:
     def make(self, probs):
@@ -573,15 +641,18 @@ def random_measure(gen, window, codes, n_batches, time_weights):
         values = (gen.exponential(1.0, own.size) if time_weights
                   else gen.integers(1, 6, own.size).astype(float))
         rows.append(dict(zip(own.tolist(), values.tolist())))
-    weights, total, batches = {}, 0.0, []
+    weights, total, sizes = {}, 0.0, []
     for row in rows:
         size = sum(row.values())
-        batches.append((size, row))
+        sizes.append(size)
         total += size
         for c, v in row.items():
             weights[c] = weights.get(c, 0.0) + v
-    return EmpiricalMeasure(window, weights, total,
-                            batches if n_batches else [])
+    if not n_batches:
+        return EmpiricalMeasure(window, weights, total)
+    table = np.array([[row.get(c, 0.0) for c in sorted(weights)]
+                      for row in rows])
+    return EmpiricalMeasure(window, weights, total, np.array(sizes), table)
 
 
 class TestTotalVariationCI:

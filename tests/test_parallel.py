@@ -118,6 +118,32 @@ def test_results_larger_than_a_pipe_buffer():
     assert run_chunked(_big, n, 2, jobs=2) == [bytes([r]) * n for r in range(2)]
 
 
+class _Interrupted(Exception):
+    pass
+
+
+def test_signal_right_after_fork_leaves_no_worker(monkeypatch):
+    """A handler that raises in the parent as soon as os.fork returns:
+    its error reaches the caller, and the worker is killed and reaped
+    (the autouse fixture finds no child)."""
+    def interrupt(signum, frame):
+        raise _Interrupted
+    fork = os.fork
+
+    def fork_then_signal():
+        pid = fork()
+        if pid:                         # in the parent
+            signal.raise_signal(signal.SIGUSR1)
+        return pid
+    previous = signal.signal(signal.SIGUSR1, interrupt)
+    monkeypatch.setattr(os, "fork", fork_then_signal)
+    try:
+        with pytest.raises(_Interrupted):
+            run_chunked(_tagged, "p", 4, jobs=2)
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+
+
 def test_worker_parameter_error_exits_2(tmp_path, monkeypatch, capsys):
     """An InvalidParameterError keeps its type through the pipe, so the
     CLI reports it with exit 2, not a traceback."""
