@@ -74,6 +74,11 @@ MANIFESTS = {
     "couple-eps": {"kind": "couple", "lambda": 0.3, "d": 2, "K": 4, "k": 2,
                    "L": 1, "epsilon": {"m": 1}, "replicas": 30, "seed": 8,
                    "bank_snapshots": 40, "bank_burn_in": 5.0},
+    # the torus replay's burn path: about 2,000 attempts on the 7 x 7
+    # torus box, about 200 of them burns
+    "couple-torus": {"kind": "couple", "lambda": 1.0, "d": 2, "K": 5, "k": 3,
+                     "L": 1, "t": 0.5, "replicas": 40, "seed": 21,
+                     "bank_snapshots": 60, "bank_burn_in": 10.0},
     "ccsb-replica": {"kind": "ccsb", "lambda": 1.0, "d": 2, "k": 2,
                      "x": [0, 0], "B": [[1, 0]], "D": [[0, 1], [2, 2]],
                      "m_list": [0, 2, 5], "delta": 0.5, "replicas": 200,

@@ -13,11 +13,9 @@ from .blur import (BlurGeometry, BlurTracker, blur_decay_experiment,
 from .ccsb import CcsbQuery, CcsbReport, ccsb_check, cluster_size_tail
 from .coupling import (CoupledExperiment, CoupleParams, Lemma1Report,
                        lemma1_experiment, lemma1_report)
-from .engine import (GROWTH, IGNITION, Event, ForestFireEngine,
-                     TrajectoryRecorder)
-from .errors import (CapacityError, EventOrderError, FfpError,
-                     InvalidParameterError, InvalidSiteError,
-                     WindowMismatchError)
+from .engine import GROWTH, IGNITION, ForestFireEngine, TrajectoryRecorder
+from .errors import (CapacityError, FfpError, InvalidParameterError,
+                     InvalidSiteError, WindowMismatchError)
 from .lattice import (EXPLICIT, TORUS, WINDOW, Topology, box_coords,
                       build_topology, cluster_of, cluster_union,
                       explicit_topology, read_edge_list, site_boundary)

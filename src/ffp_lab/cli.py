@@ -224,6 +224,15 @@ def _scan_radii(m, problems):
                         1 << len({tuple(c) for c in m["window"]}))
 
 
+def _blur_banks(m, problems):
+    """blur-decay holds one bank per L at once, so the bound applies to
+    their sum."""
+    if not problems:
+        side = 2 * (m["r_I"] + m["margin"]) + 1
+        check_bank_cap(_snapshots(m),
+                       sum((side + 2 * L) ** m["d"] for L in m["L_list"]))
+
+
 def _couple_params(m):
     return CoupleParams(m["d"], m["lambda"], m["K"], m["k"], m["r_I"], m["L"],
                         m["t"], m["seed"], m["bank_snapshots"],
@@ -358,8 +367,9 @@ def _run_mu_scan(m, out, jobs):
 # One spec per kind
 
 # fields: name -> Field; box: the (d, radius) of the largest box the run
-# builds and the snapshot count of the bank on it (0 without one), or
-# None for an edge file, read once the fields are valid;
+# builds and the snapshot count of the bank on it (0 without one, or
+# when a rule sizes the banks), or None for an edge file, read once the
+# fields are valid;
 # rules: cross-field checks run after the fields and the box;
 # tables: file name -> column names, where a "{}" name holds one table per
 # key of its rows; summary: (table, row cap, run_info line format);
@@ -416,9 +426,8 @@ _KINDS = {
          "replicas": _int(0),
          "init": _Field(_INIT, default={"kind": "stationary"})},
         lambda m: (m["d"],
-                   m["r_I"] + max(m["L_list"], default=0) + m["margin"],
-                   _snapshots(m)),
-        (_origin_x, _resolve_times),
+                   m["r_I"] + max(m["L_list"], default=0) + m["margin"], 0),
+        (_blur_banks, _origin_x, _resolve_times),
         {"blur_decay.csv": "L t flagged replicas p_hat ci_low ci_high"},
         ("blur_decay.csv", 40, ""), _run_blur_decay),
     "ccsb": _Kind(

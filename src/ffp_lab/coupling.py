@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blur import blur_geometry, init_blur
-from .engine import GROWTH, IGNITION, Event, ForestFireEngine
+from .engine import ForestFireEngine
 from .errors import InvalidParameterError
 from .lattice import TORUS, WINDOW, box_coords, build_topology
 from .measure import (CylinderEvent, MaximalCoupling, measure_from_snapshots,
@@ -152,17 +152,24 @@ class CoupledExperiment:
 
 class _TorusMirror:
     """Window-engine observer replaying each block's torus-box attempts
-    on the torus engine, so both chains consume one event stream."""
+    on the torus engine's occupancy, so both chains consume one event
+    stream.  The rule is ``run_until``'s: a vacant site grows, and an
+    occupied one burns through the engine's flood; the torus engine's
+    clock and counts stay as they were."""
 
     def __init__(self, t_engine, to_torus):
         self.t_engine = t_engine
         self.to_torus = to_torus
 
     def on_attempts(self, clocks, sites, growth):
-        apply, to_torus = self.t_engine.apply_event, self.to_torus
-        for t, site, g in zip(clocks, sites, growth):
-            if (ti := to_torus[site]) is not None:
-                apply(Event(t, ti, GROWTH if g else IGNITION))
+        t_engine, to_torus = self.t_engine, self.to_torus
+        occ, burn = t_engine.occ, t_engine._burn
+        for site, g in zip(sites, growth):
+            if (ti := to_torus[site]) is not None and occ[ti] != g:
+                if g:
+                    occ[ti] = 1
+                else:
+                    burn(ti)
 
 
 @dataclass

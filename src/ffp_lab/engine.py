@@ -24,12 +24,10 @@ each attempt.
 
 import math
 from operator import length_hint
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CapacityError, EventOrderError, InvalidParameterError,
-                     InvalidSiteError)
+from .errors import CapacityError, InvalidParameterError
 from .lattice import Topology
 
 GROWTH = "growth"
@@ -38,12 +36,6 @@ IGNITION = "ignition"
 _CHUNK = 4096
 _MARGIN = 16                    # draws decoded past the expected count
 _BLOCK = 1024                   # most draws in one block, which bounds its lists
-
-
-class Event(NamedTuple):
-    time: float
-    site: int
-    kind: str
 
 
 def _config_bytes(config) -> bytes:
@@ -124,39 +116,6 @@ class ForestFireEngine:
                     occ[j] = 0
                     cluster.append(j)
         return cluster
-
-    def next_event(self) -> Event:
-        """Sample the next event and advance the clock to it."""
-        if self._i == _CHUNK:
-            self._refill()
-        i = self._i
-        self._i = i + 1
-        self.clock += float(self._dt[i])
-        kind = GROWTH if self._u[i] < self._p_growth else IGNITION
-        return Event(self.clock, int(self._site[i]), kind)
-
-    def apply_event(self, event: Event) -> list[int]:
-        """Apply one event; returns the list of sites whose state flipped."""
-        if event.time < self.clock:
-            raise EventOrderError(
-                f"event at {event.time} is older than clock {self.clock}")
-        site, kind = event.site, event.kind
-        if not 0 <= site < len(self.occ):
-            raise InvalidSiteError(f"site index {site} out of range")
-        if kind not in self.counts:
-            raise InvalidParameterError(f"unknown event kind {kind!r}")
-        self.clock = event.time
-        self.counts[kind] += 1
-        if kind == GROWTH:
-            if self.occ[site]:
-                return []
-            self.occ[site] = 1
-            self.effective[GROWTH] += 1
-            return [site]
-        if not self.occ[site]:
-            return []
-        self.effective["burn"] += 1
-        return self._burn(site)
 
     def run_until(self, T, observers=()):
         """Advance the trajectory to a finite time T.

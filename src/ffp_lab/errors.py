@@ -17,9 +17,5 @@ class CapacityError(FfpError):
     """Problem size exceeds a configured cap (state space, window size...)."""
 
 
-class EventOrderError(FfpError):
-    """An event older than the current simulation clock was applied."""
-
-
 class WindowMismatchError(InvalidParameterError):
     """Two measures defined on different site windows were combined."""

@@ -29,8 +29,8 @@ EXPLICIT = "explicit"
 # Largest lattice a run may build, as sites x dimension: a Topology holds
 # about 300 B and takes about 30 us to build per site in d = 1-3.
 MAX_SITE_COORDS = 10**6
-# Largest snapshot bank, as snapshots x sites: a bytes snapshot keeps
-# 1.0-1.1 B per site, so a full bank holds about 35 MB.
+# Largest snapshot bank, as snapshots x sites, summed over blur-decay's
+# banks of every L: 1.0-1.1 B per site-snapshot, so about 35 MB.
 MAX_BANK_SITES = 3 * 10**7
 # Largest window of a pattern measure, which keys up to 2^sites codes.
 MAX_WINDOW_SITES = 20

@@ -418,6 +418,8 @@ def _gmres(matvec, b, diag):
     for _ in range(GMRES_MAX_RESTARTS):
         v[0, :] = r / diag
         tmp = np.linalg.norm(v[0, :])
+        if not 0 < tmp < math.inf:      # underflowed (huge lambda) or NaN
+            return x, False, inner_iter
         v[0, :] *= (1 / tmp)
         S = np.zeros(restart + 1)       # RHS of the Hessenberg problem
         S[0] = tmp

@@ -10,7 +10,9 @@ resampled on arrays: one dict-built measure per resample and
 ``np.quantile`` for the percentiles.
 ``LabelledEngine`` is the engine as it was before ``run_until`` decoded
 its draws in numpy blocks: one scalar step per draw, and a cluster-label
-index kept on every growth.  ``MarginalObserver``,
+index kept on every growth.  Its ``next_event`` and ``apply_event`` step
+one draw, or apply a chosen ``Event``, for tests that follow the chain
+event by event.  ``MarginalObserver``,
 ``SiteDensityObserver`` and ``measure_from_snapshots`` are the time
 integrator and the snapshot measure as they were before batches became
 float tables: one dict per batch, read out as a ``DictMeasure``.
@@ -19,14 +21,15 @@ float tables: one dict per batch, read out as a ``DictMeasure``.
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
 from ffp_lab.blur import epsilon_for
 from ffp_lab.coupling import (CoupledExperiment, CoupleParams, Lemma1Report,
                               lemma1_report)
-from ffp_lab.engine import (_CHUNK, GROWTH, IGNITION, Event,
-                            ForestFireEngine, _config_bytes)
+from ffp_lab.engine import (_CHUNK, GROWTH, IGNITION, ForestFireEngine,
+                            _config_bytes)
 from ffp_lab.errors import InvalidParameterError
 from ffp_lab.lattice import TORUS, Coord, Topology
 from ffp_lab.measure import (DEFAULT_BATCHES, CylinderEvent, EmpiricalMeasure,
@@ -373,6 +376,13 @@ def lemma1_default_scan(seed, replicas) -> list[Lemma1Report]:
 
 # ---------------------------------------------------------------------------
 # Reference engine
+
+class Event(NamedTuple):
+    """One draw of ``LabelledEngine.next_event``: its clock, site and kind."""
+    time: float
+    site: int
+    kind: str
+
 
 class LabelledEngine:
     """The forest-fire engine with a scalar ``run_until`` loop and a

@@ -19,9 +19,9 @@ from ffp_lab.blur import blur_decay_experiment, epsilon_for
 from ffp_lab.cli import run_experiment, validate_manifest
 from ffp_lab.coupling import CoupledExperiment, CoupleParams
 from ffp_lab.measure import SiteDensityObserver
-from oracles import (exact_cylinder, exact_marginal, lemma1_default_scan,
-                     measure_from_probabilities, stationarity_check,
-                     translation_invariance_defect)
+from oracles import (LabelledEngine, exact_cylinder, exact_marginal,
+                     lemma1_default_scan, measure_from_probabilities,
+                     stationarity_check, translation_invariance_defect)
 
 
 # fixed seeds for the statistical criteria (one per independent chain)
@@ -91,28 +91,36 @@ def test_criterion_03_exact_vs_mc_torus():
 
 
 def test_criterion_04_cluster_index_oracle():
-    # incremental union-find vs BFS recomputation after every event
-    mismatches = 0
+    # flooded clusters vs BFS recomputation after every event; each run
+    # ends on the clock of the 10,000th draw of its stream
+    class Check:
+        mismatches = 0
+
+        def on_event(self, eng, changed):
+            topo, occ, seen = eng.topology, eng.occ, set()
+            for i in range(topo.n_sites):
+                if i in seen or not occ[i]:
+                    if not occ[i] and eng.cluster_members(i):
+                        self.mismatches += 1
+                    continue
+                ref = cluster_of(occ, topo, i)
+                seen |= ref
+                if frozenset(eng.cluster_members(i)) != ref:
+                    self.mismatches += 1
+
+    check = Check()
     events_checked = 0
     for k in (2, 3):
         topo = build_topology(2, k, TORUS)
         for lam in (0.3, 1.0, 3.0):
-            eng = ForestFireEngine(topo, lam, make_rng(4, k))
+            draws = LabelledEngine(topo, lam, make_rng(4, k))
             for _ in range(10_000):
-                changed = eng.apply_event(eng.next_event())
-                events_checked += 1
-                if not changed:
-                    continue  # state unchanged, previous check still valid
-                seen = set()
-                for i in range(topo.n_sites):
-                    if i in seen or not eng.occ[i]:
-                        if not eng.occ[i] and eng.cluster_members(i):
-                            mismatches += 1
-                        continue
-                    ref = cluster_of(eng.occ, topo, i)
-                    seen |= ref
-                    if frozenset(eng.cluster_members(i)) != ref:
-                        mismatches += 1
+                draws.next_event()
+            eng = ForestFireEngine(topo, lam, make_rng(4, k))
+            eng.run_until(draws.clock, observers=(check,))
+            assert sum(eng.counts.values()) == 10_000
+            events_checked += 10_000
+    mismatches = check.mismatches
     verdict(4, mismatches == 0,
             f"cluster index vs BFS over {events_checked} events, "
             f"{mismatches} mismatches")

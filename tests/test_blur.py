@@ -5,11 +5,12 @@ import pytest
 
 from ffp_lab.blur import (blur_decay_experiment, blur_geometry, epsilon_for,
                           init_blur)
-from ffp_lab.engine import GROWTH, IGNITION, Event, ForestFireEngine
+from ffp_lab.engine import GROWTH, IGNITION, ForestFireEngine
 from ffp_lab.errors import InvalidParameterError
 from ffp_lab.lattice import (TORUS, WINDOW, box_coords, build_topology,
                              cluster_of, site_boundary)
 from ffp_lab.rng import make_rng
+from oracles import Event, LabelledEngine
 
 
 def torus(k=3):
@@ -40,8 +41,9 @@ def init(cfg, topo, S):
 
 
 def tracked(cfg, topo, S):
-    """An engine on cfg with the BlurTracker for S started on it."""
-    engine = ForestFireEngine(topo, 1.0, make_rng(0), cfg)
+    """A reference engine on cfg, which applies chosen events, with the
+    BlurTracker for S started on it."""
+    engine = LabelledEngine(topo, 1.0, make_rng(0), cfg)
     return engine, init_blur(engine, blur_geometry(topo, S))
 
 
@@ -180,13 +182,20 @@ class TestTrackerAgainstReplay:
         blur_live = init_blur(eng, geometry)
         blur_replay = init_blur(eng, geometry)
         flag_history = [set(blur_live.flags)]
-        for _ in range(800):
-            ev = eng.next_event()
-            changed = eng.apply_event(ev)
-            if changed:
-                blur_live.on_event(eng, changed)
-                update_blur(blur_replay, topo, ev, eng.occ)
-            flag_history.append(set(blur_live.flags))
+
+        class Replay:
+            """Feeds each state change to the live tracker and, as an
+            event, to the offline rule."""
+
+            def on_event(self, engine, changed):
+                blur_live.on_event(engine, changed)
+                kind = GROWTH if engine.occ[changed[0]] else IGNITION
+                update_blur(blur_replay, topo,
+                            Event(engine.clock, changed[0], kind), engine.occ)
+                flag_history.append(set(blur_live.flags))
+
+        eng.run_until(800 / (topo.n_sites * 2.0), observers=(Replay(),))
+        assert len(flag_history) > 200
         assert blur_live.flags == blur_replay.flags
         # monotone and contained in the closure throughout
         for a, b in zip(flag_history, flag_history[1:]):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -306,9 +307,12 @@ class TestExitCodes:
                             (lattice, "explicit_topology")):
             monkeypatch.setattr(owner, name, refuse)
         stationary = {"kind": "stationary", "snapshots": 10}
-        # each manifest with the site-snapshots of its largest bank
+        # each manifest with the site-snapshots of its largest bank, or of
+        # all its banks where it holds them at once: blur-decay's per L
+        blur_banks = dict(BLUR, L_list=[1, 2], init={"kind": "stationary"})
         for m, bank in ((COUPLE, 60 * 81),     # the K = 4 window bank
                         (dict(BLUR, init={"kind": "stationary"}), 1000 * 25),
+                        (blur_banks, 1000 * (25 + 49)),
                         (dict(CCSB, sampler={"kind": "replica",
                                              "init": stationary}), 10 * 9),
                         (dict(SIM, init=stationary), 10 * 9)):
@@ -515,6 +519,20 @@ class TestExitCodes:
                                            **{"lambda": lam}))
         assert done.returncode == 3, done.stderr
         assert "2**52" in done.stderr
+
+    def test_exact_whose_norm_underflows_exits_3_at_once(self, tmp_path,
+                                                         capsys):
+        """At lambda = 1e300 on the 3-site ring the preconditioned
+        right-hand side has norm 0.0: the solve stops there, with no
+        division by it and no iteration on NaN."""
+        path = write_manifest(tmp_path, dict(EXACT, **{"lambda": 1e300}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["exact", "--manifest", str(path),
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ")
+        assert "after 0 GMRES iterations" in err
 
 
 class TestOutputs:

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffp_lab.engine import (GROWTH, IGNITION, Event, ForestFireEngine,
+from ffp_lab.engine import (_CHUNK, GROWTH, IGNITION, ForestFireEngine,
                             TrajectoryRecorder)
-from ffp_lab.errors import (CapacityError, EventOrderError,
-                            InvalidParameterError)
+from ffp_lab.errors import CapacityError, InvalidParameterError
 from ffp_lab.lattice import (EXPLICIT, TORUS, WINDOW, Topology,
                              build_topology, cluster_of, explicit_topology)
 from ffp_lab.rng import make_rng
-from oracles import LabelledEngine
+from oracles import Event, LabelledEngine
 
 
 def make_engine(lam=1.0, seed=0, d=2, k=2, mode=TORUS, init=None):
@@ -20,38 +19,68 @@ def make_engine(lam=1.0, seed=0, d=2, k=2, mode=TORUS, init=None):
     return ForestFireEngine(topo, lam, make_rng(seed, 0), init)
 
 
+def next_draw(eng):
+    """The site of the engine's next draw and True if it is a growth,
+    read without taking the draw."""
+    if eng._i == _CHUNK:
+        eng._refill()                   # the chunk run_until would draw
+    i = eng._i
+    return int(eng._site[i]), bool(eng._u[i] < eng._p_growth)
+
+
+def step(eng, *observers):
+    """Run the engine to the clock of its next draw, which it takes;
+    returns that draw as next_draw does."""
+    draw = next_draw(eng)
+    eng.run_until(eng.clock + float(eng._dt[eng._i]), observers)
+    return draw
+
+
+class Changes(list):
+    """Observer keeping the changed list of every effective event."""
+
+    def on_event(self, engine, changed):
+        self.append(list(changed))
+
+
 class TestRules:
+    """run_until's rule, one draw at a time: at lambda = 1e-9 the draw
+    is a growth, at 1e9 an ignition."""
+
     def test_growth_occupies_vacant(self):
-        eng = make_engine()
-        changed = eng.apply_event(Event(0.1, 0, GROWTH))
-        assert changed == [0] and eng.occ[0] == 1
+        eng, log = make_engine(lam=1e-9), Changes()
+        site, growth = step(eng, log)
+        assert growth and log == [[site]] and eng.occ[site] == 1
+        assert eng.effective == {GROWTH: 1, "burn": 0}
 
     def test_growth_noop_on_occupied(self):
-        eng = make_engine()
-        eng.apply_event(Event(0.1, 0, GROWTH))
-        assert eng.apply_event(Event(0.2, 0, GROWTH)) == []
+        eng, log = make_engine(lam=1e-9, init=[1] * 25), Changes()
+        _, growth = step(eng, log)
+        assert growth and log == [] and eng.occ == [1] * 25
+        assert eng.counts[GROWTH] == 1 and eng.effective[GROWTH] == 0
 
     def test_ignition_noop_on_vacant(self):
-        eng = make_engine()
-        assert eng.apply_event(Event(0.1, 0, IGNITION)) == []
+        eng, log = make_engine(lam=1e9), Changes()
+        _, growth = step(eng, log)
+        assert not growth and log == [] and eng.occ == [0] * 25
+        assert eng.counts[IGNITION] == 1 and eng.effective["burn"] == 0
 
     def test_ignition_burns_whole_cluster(self):
+        """The struck site and its neighbours burn, in flood order from
+        the struck site; an occupied site two sites away does not."""
         topo = build_topology(2, 2, WINDOW)
-        eng = ForestFireEngine(topo, 1.0, make_rng(0))
-        cells = [(0, 0), (0, 1), (1, 1), (2, 2)]
-        t = 0.0
-        for c in cells:
-            t += 0.1
-            eng.apply_event(Event(t, topo.index_of[c], GROWTH))
-        changed = eng.apply_event(Event(1.0, topo.index_of[(0, 0)], IGNITION))
-        assert {topo.coords[i] for i in changed} == {(0, 0), (0, 1), (1, 1)}
-        assert eng.occ[topo.index_of[(2, 2)]] == 1
-
-    def test_event_order_enforced(self):
-        eng = make_engine()
-        eng.apply_event(Event(1.0, 0, GROWTH))
-        with pytest.raises(EventOrderError):
-            eng.apply_event(Event(0.5, 1, GROWTH))
+        eng, log = ForestFireEngine(topo, 1e9, make_rng(0)), Changes()
+        site, growth = next_draw(eng)
+        cluster = {site, *topo.adjacency[site]}
+        reach = cluster.union(*(topo.adjacency[j] for j in cluster))
+        far = min(set(range(topo.n_sites)) - reach)
+        for j in cluster | {far}:
+            eng.occ[j] = 1
+        step(eng, log)
+        assert not growth and len(log) == 1
+        assert log[0][0] == site and sorted(log[0]) == sorted(cluster)
+        assert [j for j in range(topo.n_sites) if eng.occ[j]] == [far]
+        assert eng.effective == {GROWTH: 0, "burn": 1}
 
     def test_lambda_must_be_positive(self):
         topo = build_topology(2, 1, TORUS)
@@ -72,7 +101,8 @@ class TestRules:
         with pytest.raises(InvalidParameterError, match="too large"):
             ForestFireEngine(topo, lam, make_rng(0))
         eng = ForestFireEngine(topo, 1e307, make_rng(0))     # 9.0e307 is finite
-        assert eng.next_event().time > 0.0
+        step(eng)
+        assert eng.clock > 0.0 and sum(eng.counts.values()) == 1
 
     def test_empty_topology_refused(self):
         with pytest.raises(InvalidParameterError, match="no sites"):
@@ -119,8 +149,7 @@ class TestClusterIndex:
 
     def test_index_matches_bfs_along_trajectory(self):
         eng = make_engine(lam=0.7, seed=3)
-        for _ in range(400):
-            eng.apply_event(eng.next_event())
+        eng.run_until(400 / (eng.topology.n_sites * 1.7))   # 400 attempts
         self.agrees_with_bfs(eng)
 
     def test_vacant_site_has_empty_cluster(self):
@@ -151,7 +180,8 @@ def configured_topology(draw):
 
 class TestLabelling:
     """cluster_members, flooded on demand from occupancy alone, matches
-    lattice.cluster_of at every step."""
+    lattice.cluster_of on every configuration the reference engine
+    reaches, one event at a time."""
 
     def assert_clusters_exact(self, eng):
         """Every site's cluster equals a fresh traversal, and the flood
@@ -170,63 +200,69 @@ class TestLabelling:
     @given(configured_topology())
     def test_index_matches_traversal(self, case):
         topo, cfg, events = case
-        eng = ForestFireEngine(topo, 1.0, make_rng(0), cfg)
-        self.assert_clusters_exact(eng)
+        rng = make_rng(0)
+        ref = LabelledEngine(topo, 1.0, rng, cfg)
+        self.assert_clusters_exact(ForestFireEngine(topo, 1.0, rng, cfg))
         for t, (site, kind) in enumerate(events, 1):
-            eng.apply_event(Event(float(t), site, kind))
-            self.assert_clusters_exact(eng)
+            ref.apply_event(Event(float(t), site, kind))
+            self.assert_clusters_exact(ForestFireEngine(topo, 1.0, rng,
+                                                        ref.occ))
 
     def test_index_exact_along_long_low_lambda_run(self):
         """Rare fires: clusters of hundreds of sites, and regrowth on the
         sites of burned ones."""
-        eng = ForestFireEngine(build_topology(2, 10, TORUS), 0.05,
-                               make_rng(4, 0))
+        topo = build_topology(2, 10, TORUS)
+        ref = LabelledEngine(topo, 0.05, make_rng(4, 0))
         largest = 0
-        for step in range(1, 20001):
-            eng.apply_event(eng.next_event())
-            if step % 500 == 0:
+        for draw in range(1, 20001):
+            ref.apply_event(ref.next_event())
+            if draw % 500 == 0:
+                eng = ForestFireEngine(topo, 0.05, make_rng(0), ref.occ)
                 self.assert_clusters_exact(eng)
                 largest = max(largest, *(len(eng.cluster_members(i))
-                                         for i in range(eng.topology.n_sites)))
-        assert eng.effective["burn"] > 0 and largest > 200
+                                         for i in range(topo.n_sites)))
+        assert ref.effective["burn"] > 0 and largest > 200
 
 
 class TestSampling:
+    """The first 20,000 attempts of a run, as on_attempts sees them."""
+
+    def attempts(self, eng, n=20000):
+        log = CallLog()
+        rate = eng.topology.n_sites * (1.0 + eng.lam)
+        eng.run_until(1.2 * n / rate, observers=(log,))
+        assert len(log.attempts) >= n
+        return log.attempts[:n]
+
     def test_interarrival_mean(self):
         eng = make_engine(lam=1.0, seed=1, k=1)
         n = eng.topology.n_sites
-        times = []
-        prev = 0.0
-        for _ in range(20000):
-            ev = eng.next_event()
-            times.append(ev.time - prev)
-            prev = ev.time
+        clocks = [t for t, _, _ in self.attempts(eng)]
+        times = [b - a for a, b in zip([0.0] + clocks, clocks)]
         mean = sum(times) / len(times)
         expect = 1.0 / (n * 2.0)
         assert abs(mean - expect) < 5 * expect / math.sqrt(len(times))
 
     def test_kind_frequency(self):
         eng = make_engine(lam=3.0, seed=2, k=1)
-        kinds = [eng.next_event().kind for _ in range(20000)]
-        p = kinds.count(GROWTH) / len(kinds)
+        growth = [g for _, _, g in self.attempts(eng)]
+        p = growth.count(True) / len(growth)
         assert abs(p - 0.25) < 0.02
 
     def test_determinism(self):
         a = make_engine(seed=9)
         b = make_engine(seed=9)
-        for _ in range(1000):
-            a.apply_event(a.next_event())
-            b.apply_event(b.next_event())
+        for eng in (a, b):
+            eng.run_until(1000 / (25 * 2.0))             # 1,000 attempts
         assert a.snapshot() == b.snapshot()
-        assert a.clock == b.clock
+        assert a.clock == b.clock and a.counts == b.counts
 
     def test_distinct_seeds_differ(self):
         a = make_engine(seed=0)
         b = make_engine(seed=1)
-        for _ in range(200):
-            a.apply_event(a.next_event())
-            b.apply_event(b.next_event())
-        assert a.snapshot() != b.snapshot() or a.clock != b.clock
+        for eng in (a, b):
+            eng.run_until(200 / (25 * 2.0))              # 200 attempts
+        assert a.snapshot() != b.snapshot() or a.counts != b.counts
 
 
 class TestRunUntil:
@@ -298,11 +334,11 @@ class TestStreamPreserved:
     """run_until consumes the same draws whatever is attached to it."""
 
     def finish(self, eng):
-        return eng.snapshot(), eng.clock, dict(eng.counts), dict(eng.effective)
+        return bytes(eng.occ), eng.clock, dict(eng.counts), dict(eng.effective)
 
     def test_matches_apply_event_reference(self):
         eng = make_engine(lam=0.6, seed=11)
-        ref = make_engine(lam=0.6, seed=11)
+        ref = LabelledEngine(eng.topology, 0.6, make_rng(11, 0))
         for T in (2.5, 7.0):
             eng.run_until(T)
             while True:   # the draw past T is taken and discarded
@@ -501,32 +537,28 @@ class TestAgainstReference:
         eng, ref = self.pair(mode, lam, seed=21)
         rate = eng.topology.n_sites * (1.0 + lam)
         logs = CallLog(), CallLog()
-        # horizons in expected attempts; "on" lands exactly on the clock
-        # of the third draw ahead, which is taken, not discarded
+        # horizons in expected attempts; "on" and "step" land exactly on
+        # the clock of the third and the first draw ahead, which is taken,
+        # not discarded
+        ahead = {"on": 3, "step": 1}
         steps = [0.3, "on", 2.5, 0.0, "step", 3.5 * 4096, "on", 0.0, 1.0,
                  "step", "step", 0.2, 40.0, 4096.0, "step", 0.7]
         for step in steps:
-            if step == "step":
-                event = eng.next_event()
-                assert event == ref.next_event()
-                changed = eng.apply_event(event)    # a burn in any order
-                assert sorted(changed) == sorted(ref.apply_event(event))
+            if step in ahead:
+                dts = ref._dt[ref._i:ref._i + ahead[step]]
+                assert len(dts) == ahead[step]
+                T = eng.clock
+                for dt in dts:
+                    T += dt
             else:
-                if step == "on":
-                    ahead = ref._dt[ref._i:ref._i + 3]
-                    assert len(ahead) == 3
-                    T = eng.clock
-                    for dt in ahead:
-                        T += dt
-                else:
-                    T = eng.clock + step / rate
-                eng.run_until(T, observers=(logs[0],))
-                ref.run_until(T, observers=(logs[1],))
+                T = eng.clock + step / rate
+            eng.run_until(T, observers=(logs[0],))
+            ref.run_until(T, observers=(logs[1],))
             self.assert_same(eng, ref)
         assert logs[0].calls == logs[1].calls
         assert logs[0].attempts == logs[1].attempts
         kinds = [call[0] for call in logs[0].calls]
-        assert kinds.count("accumulate") == len(steps) - steps.count("step")
+        assert kinds.count("accumulate") == len(steps)
         assert eng.effective["burn"] > 0
         assert sum(eng.counts.values()) > 3 * 4096
 
