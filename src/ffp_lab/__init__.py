@@ -6,6 +6,13 @@ time-average and exact stationary measures, outside-influence marking
 bounding cylinder-probability differences.
 """
 
+import os
+
+# One BLAS thread, set before anything here loads numpy: the exact
+# solve's norms and dot products then add their terms in one order, so
+# exact.csv does not depend on the host's core count.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 __version__ = "0.1.0"
 
 from .blur import (BlurGeometry, BlurTracker, blur_decay_experiment,

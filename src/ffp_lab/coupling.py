@@ -105,9 +105,9 @@ class CoupledExperiment:
             p.bank_burn_in, p.seed, stream=(52, p.k))
 
         self.p_J = measure_from_snapshots(self.window_topo, self.J,
-                                          self.window_bank.configs)
+                                          self.window_bank.configs())
         self.q_J = measure_from_snapshots(self.torus_topo, self.J,
-                                          self.torus_bank.configs)
+                                          self.torus_bank.configs())
         self._w_buckets = self.window_bank.buckets(self.J)
         self._t_buckets = self.torus_bank.buckets(self.J)
         self.coupling = MaximalCoupling(self.p_J, self.q_J)

@@ -129,7 +129,7 @@ def _col_se(table, sizes, width) -> np.ndarray:
 
 
 def measure_from_snapshots(topology, window, snapshots) -> EmpiricalMeasure:
-    """Snapshot-count measure from an ordered list of configurations."""
+    """Snapshot-count measure from configurations in order (any iterable)."""
     window = canonical_window(topology, window)
     raw = [window_pattern(cfg, topology, window) for cfg in snapshots]
     codes = sorted(set(raw))            # np.unique would page in 0.6 MB
@@ -476,28 +476,9 @@ def _gmres(matvec, b, diag):
     return x, rnorm <= atol, inner_iter
 
 
-def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
-    """Solve the global balance equations pi Q = 0 of the finite chain.
-
-    Growth transitions have rate 1 per vacant site; ignition of an
-    occupied site empties its whole cluster, so a component of size c
-    leaves at total rate lam*c toward the component-free state.
-
-    With pi(empty) pinned to 1 the other balance equations form a
-    nonsingular system, solved by Jacobi-preconditioned restarted GMRES
-    (Stewart 1994, ch. 4) and then normalised.  A solve that does not
-    converge, or whose balance residual max|pi Q| exceeds BALANCE_TOL,
-    raises CapacityError.
-
-    Limitation: with pi(empty) pinned to 1 the unknowns grow like
-    lam^-N, so on sparse explicit graphs at small lam (three isolated
-    sites at lam = 0.01) GMRES cannot meet its relative stopping test in
-    double precision, and a solve with a balance residual near 1e-18
-    still raises CapacityError.
-    """
-    if lam <= 0:
-        raise InvalidParameterError("lambda must be positive")
-    check_box_cap(1, topology.n_sites, DEFAULT_STATE_CAP)
+def _solve(topology: Topology, lam: float):
+    """(pi, balance residual, converged, GMRES iterations) of the pinned
+    system, clipped at 0 and normalised."""
     rows, cols, rates = _build_generator(topology, lam)
     size = 1 << topology.n_sites
     # A = Q^T without state 0: bincount adds each target's terms in
@@ -514,6 +495,39 @@ def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
     pi /= pi.sum()
     residual = float(np.abs(np.bincount(cols, rates * pi[rows],
                                         minlength=size)).max())
+    return pi, residual, converged, iterations
+
+
+def exact_stationary(topology: Topology, lam: float) -> ExactDistribution:
+    """Solve the global balance equations pi Q = 0 of the finite chain.
+
+    Growth transitions have rate 1 per vacant site; ignition of an
+    occupied site empties its whole cluster, so a component of size c
+    leaves at total rate lam*c toward the component-free state.
+
+    With pi(empty) pinned to 1 the other balance equations form a
+    nonsingular system, solved by Jacobi-preconditioned restarted GMRES
+    (Stewart 1994, ch. 4) and then normalised.  A solve that does not
+    converge, or whose balance residual max|pi Q| exceeds BALANCE_TOL,
+    raises CapacityError, as does a lam whose rates or unknowns overflow
+    (an overflow or an invalid operation anywhere in the build or the
+    solve stops it at once, with no RuntimeWarning).
+
+    Limitation: with pi(empty) pinned to 1 the unknowns grow like
+    lam^-N, so on sparse explicit graphs at small lam (three isolated
+    sites at lam = 0.01) GMRES cannot meet its relative stopping test in
+    double precision, and a solve with a balance residual near 1e-18
+    still raises CapacityError.
+    """
+    if lam <= 0:
+        raise InvalidParameterError("lambda must be positive")
+    check_box_cap(1, topology.n_sites, DEFAULT_STATE_CAP)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pi, residual, converged, iterations = _solve(topology, lam)
+    except FloatingPointError as exc:
+        raise CapacityError(f"stationary solve at lambda = {lam!r} leaves "
+                            f"the double range: {exc}") from None
     if not converged or not residual <= BALANCE_TOL:
         raise CapacityError(
             f"stationary solve failed after {iterations} GMRES iterations: "

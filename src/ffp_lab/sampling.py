@@ -4,8 +4,10 @@ A SnapshotBank runs one long chain and keeps spaced snapshots; spacing
 of at least one expected relaxation interval keeps autocorrelation low.
 Replica samplers run an independent chain to a fixed time for every
 draw.  Every sampler draws a configuration as bytes, one 0/1 byte per
-site in canonical order.  The samplers are consumed by the cluster-size
-checks, the stationarity check and the coupled experiments.
+site in canonical order; a bank holds its snapshots packed to one bit
+per site and unpacks only the one it hands out.  The samplers are
+consumed by the cluster-size checks, the stationarity check and the
+coupled experiments.
 """
 
 from collections import defaultdict
@@ -18,9 +20,27 @@ from .rng import make_rng
 
 DEFAULT_SNAPSHOTS = 1000
 
+# a packed snapshot reads the 0/1 bytes, last site first, as a base-2
+# numeral: bit i is site i, as np.packbits(..., bitorder="little") packs
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def pack_config(config: bytes) -> bytes:
+    """A 0/1 byte per site packed to one bit per site, bit i = site i."""
+    return int(config[::-1].translate(_TO_DIGITS), 2).to_bytes(
+        (len(config) + 7) // 8, "little")
+
+
+def unpack_config(packed: bytes, n_sites: int) -> bytes:
+    """The inverse of pack_config: one 0/1 byte per site."""
+    return format(int.from_bytes(packed, "little"),
+                  f"0{n_sites}b")[::-1].encode().translate(_FROM_DIGITS)
+
 
 class SnapshotBank:
-    """Spaced snapshots of one long stationary run, each held as bytes."""
+    """Spaced snapshots of one long stationary run, each packed to one
+    bit per site (pack_config) in one buffer."""
 
     def __init__(self, topology: Topology, lam, n_snapshots, spacing, burn_in,
                  seed, stream=(0,)):
@@ -33,26 +53,42 @@ class SnapshotBank:
         self.mode = "stationary-bank"
         engine = ForestFireEngine(topology, lam, make_rng(seed, *stream))
         engine.run_until(burn_in)
-        self.configs = []
+        # snapshot i is bytes i*width to (i + 1)*width of one buffer
+        self._width = width = (topology.n_sites + 7) // 8
+        self._packed = bytearray(n_snapshots * width)
         for i in range(n_snapshots):
             engine.run_until(burn_in + (i + 1) * spacing)
-            self.configs.append(engine.snapshot())
+            self._packed[i * width:(i + 1) * width] = pack_config(
+                engine.snapshot())
+
+    def __len__(self):
+        return len(self._packed) // self._width
+
+    def _config(self, i) -> bytes:
+        """Snapshot i (0 <= i < len(self)), one 0/1 byte per site."""
+        width = self._width
+        return unpack_config(self._packed[i * width:(i + 1) * width],
+                             self.topology.n_sites)
+
+    def configs(self):
+        """Every snapshot in order, unpacked one at a time."""
+        return map(self._config, range(len(self)))
 
     def sample(self, rng):
-        return self.configs[int(rng.integers(len(self.configs)))]
+        return self._config(int(rng.integers(len(self))))
 
     def buckets(self, window):
         """Snapshot indices grouped by their window pattern."""
         window = canonical_window(self.topology, window)
         out = defaultdict(list)
-        for i, cfg in enumerate(self.configs):
+        for i, cfg in enumerate(self.configs()):
             out[window_pattern(cfg, self.topology, window)].append(i)
         return dict(out)
 
     def sample_with_pattern(self, window_buckets, code, rng):
         """Uniform snapshot among those showing the given window pattern."""
         idx = window_buckets[code]
-        return self.configs[idx[int(rng.integers(len(idx)))]]
+        return self._config(idx[int(rng.integers(len(idx)))])
 
 
 class VacantSampler:

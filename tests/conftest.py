@@ -1,5 +1,6 @@
 import os
 
+import ffp_lab  # noqa: F401  first, so numpy loads with one BLAS thread
 import pytest
 
 

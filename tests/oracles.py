@@ -333,7 +333,7 @@ def stationarity_check(topology: Topology, lam, event: CylinderEvent, t,
     diffs = []
     before = 0
     after = 0
-    for r, cfg in enumerate(bank.configs):
+    for r, cfg in enumerate(bank.configs()):
         b = event.holds_on(cfg, topology)
         if t > 0:
             engine = ForestFireEngine(topology, lam, make_rng(seed, 20, r), cfg)
@@ -344,7 +344,7 @@ def stationarity_check(topology: Topology, lam, event: CylinderEvent, t,
         before += b
         after += a
         diffs.append(int(a) - int(b))
-    n = len(bank.configs)
+    n = len(bank)
     lhs = after / n
     rhs = before / n
     return StationarityReport(lhs, rhs, paired_se(diffs), n)

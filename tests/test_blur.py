@@ -234,6 +234,12 @@ class TestDecayExperiment:
             blur_decay_experiment(2, 1.0, (0, 0), 0, [1], [0.05], 0,
                                   {"kind": "vacant"}, 1)
 
+    def test_one_replica_runs(self):
+        """Kills `replicas < 1` -> `replicas <= 1` (or `< 2`)."""
+        [row] = blur_decay_experiment(2, 1.0, (0, 0), 0, [1], [0.05], 1,
+                                      {"kind": "vacant"}, 1)
+        assert row.replicas == 1
+
     def test_times_required(self, monkeypatch):
         def no_lattice(*args):
             raise AssertionError("lattice built before the times were checked")

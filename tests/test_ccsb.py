@@ -1,10 +1,16 @@
+import math
+
+import numpy as np
 import pytest
 
 from ffp_lab.ccsb import CcsbQuery, ccsb_check, cluster_size_tail
 from ffp_lab import lattice, sampling
+from ffp_lab.engine import ForestFireEngine
 from ffp_lab.errors import CapacityError, InvalidParameterError
 from ffp_lab.lattice import TORUS, build_topology
-from ffp_lab.sampling import (BernoulliSampler, SnapshotBank, VacantSampler)
+from ffp_lab.rng import make_rng
+from ffp_lab.sampling import (BernoulliSampler, ReplicaSampler, SnapshotBank,
+                              VacantSampler, pack_config, unpack_config)
 
 
 def torus(k=2):
@@ -64,6 +70,13 @@ class TestVerdicts:
         with pytest.raises(InvalidParameterError):
             ccsb_check(VacantSampler(topo), topo, [q], 0)
 
+    def test_one_replica_runs(self):
+        """Kills `replicas < 1` -> `replicas <= 1` (or `< 2`)."""
+        topo = torus()
+        q = CcsbQuery.build(topo, [], [], (0, 0), 0, 0.5)
+        [rep] = ccsb_check(VacantSampler(topo), topo, [q], 1)
+        assert rep.replicas == 1
+
     def test_one_pass_matches_one_call_per_query(self):
         topo = torus()
         sampler = BernoulliSampler(topo, 0.5)
@@ -100,6 +113,15 @@ class TestTail:
         assert all(r.p_hat == 0.0 for r in rep.rows)
         assert rep.max_size == 0
 
+    def test_one_replica_runs_and_zero_is_refused(self):
+        """Kills `replicas < 1` -> `replicas <= 1` (or `< 2`), and
+        -> `replicas < 0`."""
+        topo = torus()
+        rep = cluster_size_tail(VacantSampler(topo), topo, (0, 0), [0], 1)
+        assert rep.rows[0].replicas == 1
+        with pytest.raises(InvalidParameterError, match="at least one replica"):
+            cluster_size_tail(VacantSampler(topo), topo, (0, 0), [0], 0)
+
     def test_sampler_mode_reported(self):
         topo = torus()
         rep = cluster_size_tail(VacantSampler(topo), topo, (0, 0), [0], 10)
@@ -118,3 +140,64 @@ class TestBank:
             SnapshotBank(topo, 1.0, 11, 1.0, 5.0, seed=0)
         with pytest.raises(AssertionError):     # at the bound it is built
             SnapshotBank(topo, 1.0, 10, 1.0, 5.0, seed=0)
+
+    def test_codec_is_little_packbits_and_round_trips(self):
+        rng = np.random.default_rng(3)
+        for n in (*range(1, 18), 81, 625):
+            bits = rng.integers(0, 2, n, dtype=np.uint8)
+            packed = pack_config(bits.tobytes())
+            assert packed == np.packbits(bits, bitorder="little").tobytes()
+            assert unpack_config(packed, n) == bits.tobytes()
+        assert pack_config(bytes([1, 0, 0, 0, 0, 0, 0, 0, 1])) == b"\x01\x01"
+
+    def test_bank_packs_the_chain_it_ran(self):
+        """One bit per site held, and each snapshot handed out is the
+        engine's snapshot at its time on the bank's stream."""
+        topo = build_topology(2, 3, TORUS)      # 49 sites: 7 bytes each
+        bank = SnapshotBank(topo, 1.0, 12, 0.5, 4.0, seed=9, stream=(2,))
+        engine = ForestFireEngine(topo, 1.0, make_rng(9, 2))
+        engine.run_until(4.0)
+        expected = []
+        for i in range(12):
+            engine.run_until(4.0 + (i + 1) * 0.5)
+            expected.append(engine.snapshot())
+        assert len(bank) == 12
+        assert len(bank._packed) == 12 * 7
+        assert list(bank.configs()) == expected
+        assert len(set(expected)) > 1
+        i = int(make_rng(1).integers(12))
+        assert bank.sample(make_rng(1)) == expected[i]
+        buckets = bank.buckets([(0, 0)])
+        assert sorted(i for idx in buckets.values() for i in idx) == \
+            list(range(12))
+        for code, idx in buckets.items():
+            assert all(expected[i][topo.index_of[(0, 0)]] == code for i in idx)
+
+    def test_one_snapshot_builds_and_zero_is_refused(self):
+        """Kills `n_snapshots < 1` -> `n_snapshots <= 1` (or `< 2`), and
+        -> `n_snapshots < 0`."""
+        topo = torus()
+        assert len(SnapshotBank(topo, 1.0, 1, 1.0, 5.0, seed=0)) == 1
+        with pytest.raises(InvalidParameterError, match="at least one snapshot"):
+            SnapshotBank(topo, 1.0, 0, 1.0, 5.0, seed=0)
+
+    def test_least_spacing_builds_and_zero_is_refused(self):
+        """Kills `spacing <= 0` -> `spacing < 0` (0 then builds) and
+        -> `spacing <= 1` (the least positive float then fails)."""
+        topo = torus()
+        tiny = math.ulp(0.0)
+        assert len(SnapshotBank(topo, 1.0, 3, tiny, 5.0, seed=0)) == 3
+        with pytest.raises(InvalidParameterError, match="spacing"):
+            SnapshotBank(topo, 1.0, 3, 0.0, 5.0, seed=0)
+
+
+class TestReplicaSampler:
+    def test_time_zero_runs_and_below_is_refused(self):
+        """Kills `s < 0` -> `s <= 0` (s = 0 then fails) and -> `s < -1`
+        (s = -ulp then builds)."""
+        topo = torus()
+        init = BernoulliSampler(topo, 0.5)
+        drawn = ReplicaSampler(topo, 1.0, 0.0, init).sample(make_rng(5))
+        assert drawn == init.sample(make_rng(5))
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            ReplicaSampler(topo, 1.0, -math.ulp(0.0), init)

@@ -490,12 +490,13 @@ class TestExitCodes:
             assert sizes == [] and not (tmp_path / "out").exists()
 
 
-    def run_cli(self, tmp_path, manifest):
-        """The CLI in a subprocess, which a hang fails by its timeout."""
+    def run_cli(self, tmp_path, manifest, *options):
+        """The CLI in a subprocess, with these interpreter options, which a
+        hang fails by its timeout."""
         path = write_manifest(tmp_path, manifest)
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
-            [sys.executable, "-m", "ffp_lab.cli", manifest["kind"],
+            [sys.executable, *options, "-m", "ffp_lab.cli", manifest["kind"],
              "--manifest", str(path), "--out", str(tmp_path / "out")],
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=str(src)))
@@ -533,6 +534,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("capacity error: ")
         assert "after 0 GMRES iterations" in err
+
+    @pytest.mark.parametrize("lam, op", [(1e308, "multiply"), (1e-300, "dot")])
+    def test_exact_at_extreme_lambda_exits_3_with_no_warning(self, tmp_path,
+                                                            lam, op):
+        """On the 3-site ring a rate of lambda = 1e308 overflows in the
+        generator build, and at 1e-300 a norm of the solve overflows: a
+        capacity error naming lambda, where a RuntimeWarning came first."""
+        done = self.run_cli(tmp_path, dict(EXACT, **{"lambda": lam}),
+                            "-W", "error")
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == (
+            f"capacity error: stationary solve at lambda = {lam!r} leaves "
+            f"the double range: overflow encountered in {op}\n")
 
 
 class TestOutputs:
@@ -617,6 +631,27 @@ class TestDeterminism:
         a, b = outs
         for csv_path in sorted(a.glob("*.csv")):
             assert (b / csv_path.name).read_bytes() == csv_path.read_bytes()
+
+    def test_exact_bytes_ignore_the_callers_blas_threads(self, tmp_path):
+        """The 15-site window solve (148 GMRES iterations) writes the same
+        exact.csv whatever OPENBLAS_NUM_THREADS the caller sets: the
+        package pins one BLAS thread before numpy loads, where two
+        threads used to split the norms' and dot products' sums."""
+        path = write_manifest(tmp_path, {"kind": "exact", "lambda": 0.3,
+                                         "d": 1, "k": 7, "mode": "window"})
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parent.parent / "src"))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        outs = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "ffp_lab.cli", "exact", "--manifest",
+                 str(path), "--out", str(out)], check=True, timeout=120,
+                env=env if threads is None
+                else dict(env, OPENBLAS_NUM_THREADS=threads))
+            outs.append((out / "exact.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
     def test_seed_override_changes_output(self, tmp_path):
         m = validate_manifest(dict(BLUR))

@@ -34,6 +34,12 @@ class TestValidation:
         assert any("k > r_I + L" in m for m in msgs)
         assert any("k <= K" in m for m in msgs)
 
+    def test_zero_margin_is_legal_and_negative_refused(self):
+        """Kills `self.L < 0` -> `self.L <= 0` (L = 0 then fails) and
+        -> `self.L < -1` (L = -1 then passes)."""
+        assert params(L=0).validate() == []
+        assert params(L=-1).validate() == ["r_I and L must be nonnegative"]
+
     def test_experiment_rejects_bad_params(self):
         with pytest.raises(InvalidParameterError):
             CoupledExperiment(params(k=1, L=2))
@@ -132,3 +138,8 @@ class TestReport:
     def test_experiment_needs_replicas(self):
         with pytest.raises(InvalidParameterError):
             lemma1_experiment(params(), None, 0)
+
+    def test_one_replica_runs(self):
+        """Kills `replicas < 1` -> `replicas <= 1` (or `< 2`)."""
+        rep = lemma1_experiment(params(bank_snapshots=20), None, 1)
+        assert rep.replicas == len(rep.records) == 1

@@ -19,9 +19,9 @@ import platform
 import sys
 from pathlib import Path
 
-import numpy as np
+from ffp_lab import cli  # before numpy, so it loads with one BLAS thread
 
-from ffp_lab import cli
+import numpy as np
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

@@ -146,6 +146,15 @@ class TestExplicit:
         back = read_edge_list(path)
         assert back.adjacency == topo.adjacency
 
+    def test_edge_list_skips_comments_and_blank_lines(self, tmp_path):
+        """Kills `not line or line.startswith("#")` -> `and`, which reads
+        both lines as edges and refuses the file."""
+        path = tmp_path / "graph.txt"
+        path.write_text("# a triangle\n0 1\n\n  \n1 2\n  # closing edge\n2 0\n")
+        topo = read_edge_list(path)
+        assert topo.adjacency == explicit_topology(
+            3, [(0, 1), (1, 2), (2, 0)]).adjacency
+
 
 class TestSets:
     def test_boundary_of_origin(self):
