@@ -11,7 +11,9 @@ compared parsed, without wall_time_s and with the run directory written
 as "<run>".  Exit codes and stderr must match too, and the change's CSVs
 must not depend on --jobs.  A run still going after TIMEOUT_S seconds
 is stopped and counted as a difference, on either root.  Prints the
-counts, names each differing file, and exits 1 on any difference.
+counts, then one line per manifest with its peak RSS (from wait4, the
+largest over --jobs) on each root, parent -> change, names each
+differing file, and exits 1 on any difference.
 """
 
 import json
@@ -21,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 JOBS = (1, 2)
@@ -125,22 +128,34 @@ EXIT_CODES = {"refused-invalid": 2, "refused-capacity": 3,
 
 
 def run(root, name, manifest, jobs, work):
-    """One CLI run in a fresh directory; (exit code, stderr, run dir),
-    with exit code None if the run timed out."""
+    """One CLI run in a fresh directory; (exit code, stderr, run dir,
+    peak RSS in KB), with exit code None if the run timed out.  The peak
+    comes from wait4, so it covers the --jobs workers too."""
     rundir = work / f"{name}.j{jobs}"
     rundir.mkdir()
     (rundir / "edges.txt").write_text(EDGES)
     (rundir / "manifest.json").write_text(json.dumps(manifest))
     env = {**os.environ, "PYTHONPATH": str(Path(root, "src").resolve())}
-    try:
-        proc = subprocess.run(
+    with open(rundir / "stderr.txt", "w+") as err:
+        proc = subprocess.Popen(
             [sys.executable, "-m", "ffp_lab.cli", manifest["kind"],
              "--manifest", "manifest.json", "--jobs", str(jobs), "--out",
-             "out"], cwd=rundir, env=env, capture_output=True, text=True,
-            timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return None, "", rundir
-    return proc.returncode, proc.stderr.replace(str(rundir), "<run>"), rundir
+             "out"], cwd=rundir, env=env, stdout=subprocess.DEVNULL,
+            stderr=err)
+        timed_out = threading.Event()
+        watchdog = threading.Timer(
+            TIMEOUT_S, lambda: (timed_out.set(), proc.kill()))
+        watchdog.start()
+        # wait without reaping, so the kill can never reach a reused pid
+        os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+        watchdog.cancel()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read().replace(str(rundir), "<run>")
+    if timed_out.is_set():
+        proc.returncode, stderr = None, ""
+    return proc.returncode, stderr, rundir, usage.ru_maxrss
 
 
 def outputs(rundir):
@@ -168,6 +183,7 @@ def main(argv):
     (work / "change").mkdir()
     runs = files = 0
     diffs = []
+    peaks = {}                  # name -> largest peak KB over JOBS per root
     try:
         for name, manifest in MANIFESTS.items():
             csvs = []
@@ -175,6 +191,8 @@ def main(argv):
                 pa = run(parent, name, manifest, jobs, work / "parent")
                 pb = run(change, name, manifest, jobs, work / "change")
                 runs += 2
+                last = peaks.get(name, (0, 0))
+                peaks[name] = (max(last[0], pa[3]), max(last[1], pb[3]))
                 where = f"{name} --jobs {jobs}"
                 for root, p in (("parent", pa), ("change", pb)):
                     if p[0] is None:
@@ -195,6 +213,8 @@ def main(argv):
         shutil.rmtree(work, ignore_errors=True)
     print(f"manifests: {len(MANIFESTS)}  runs: {runs}  "
           f"change files compared: {files}  differing: {len(diffs)}")
+    for name, (a, b) in peaks.items():
+        print(f"  peak RSS {name}: {a / 1024:.2f} -> {b / 1024:.2f} MB")
     for line in diffs:
         print(f"  differs: {line}")
     return 1 if diffs else 0

@@ -119,8 +119,6 @@ def epsilon_for(m: int, d_G: int, safety: float = 1.0) -> float:
     if not 0.0 < safety <= 1.0:
         raise InvalidParameterError("safety must lie in (0, 1]")
     u = 1.0 / (4.0 * m * d_G)
-    if u >= 1.0:
-        raise InvalidParameterError("4*m*d_G must exceed 1")
     eps = safety * (-math.log1p(-u))
     # keep the firing probability strictly below u despite float rounding
     while 1.0 - math.exp(-eps) >= u or -math.expm1(-eps) >= u:

@@ -629,6 +629,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    # keep OpenSSL unmapped: numpy.random's hmac import uses built-in digests
+    sys.modules.setdefault("_hashlib", None)
     args = build_parser().parse_args(argv)
     try:
         if args.command == "summarize":

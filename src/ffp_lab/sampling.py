@@ -131,10 +131,8 @@ class ReplicaSampler:
         self.mode = f"replica(s={s}, init={self.init_sampler.mode})"
 
     def sample(self, rng):
-        init = self.init_sampler.sample(rng)
-        if self.s == 0:
-            return init
-        engine = ForestFireEngine(self.topology, self.lam, rng, init)
+        engine = ForestFireEngine(self.topology, self.lam, rng,
+                                  self.init_sampler.sample(rng))
         engine.run_until(self.s)
         return engine.snapshot()
 

@@ -7,8 +7,6 @@ import numpy as np
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, at 95%."""
-    if n <= 0:
-        return 0.0, 1.0
     z = 1.96
     p = successes / n
     denom = 1.0 + z * z / n
@@ -18,8 +16,6 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 def binomial_se(successes: int, n: int) -> float:
-    if n <= 0:
-        return 0.0
     p = successes / n
     return math.sqrt(p * (1.0 - p) / n)
 

@@ -194,10 +194,21 @@ class TestBank:
 class TestReplicaSampler:
     def test_time_zero_runs_and_below_is_refused(self):
         """Kills `s < 0` -> `s <= 0` (s = 0 then fails) and -> `s < -1`
-        (s = -ulp then builds)."""
+        (s = -ulp then builds).  At s = 0 a draw is the init draw, and
+        the engine takes nothing more from the stream; at s = 1 the
+        engine runs, which a shortcut at `s == 1` would skip."""
         topo = torus()
         init = BernoulliSampler(topo, 0.5)
-        drawn = ReplicaSampler(topo, 1.0, 0.0, init).sample(make_rng(5))
-        assert drawn == init.sample(make_rng(5))
+        rng, ref = make_rng(5), make_rng(5)
+        drawn = ReplicaSampler(topo, 1.0, 0.0, init).sample(rng)
+        assert drawn == init.sample(ref)
+        np.testing.assert_equal(rng.bit_generator.state,
+                                ref.bit_generator.state)
+        rng, ref = make_rng(5), make_rng(5)
+        start = init.sample(ref)
+        engine = ForestFireEngine(topo, 1.0, ref, start)
+        ran = engine.run_until(1.0).snapshot()
+        assert ran != start
+        assert ReplicaSampler(topo, 1.0, 1.0, init).sample(rng) == ran
         with pytest.raises(InvalidParameterError, match="nonnegative"):
             ReplicaSampler(topo, 1.0, -math.ulp(0.0), init)

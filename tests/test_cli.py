@@ -710,8 +710,10 @@ def test_modules_load_only_where_a_run_uses_them(tmp_path):
     """The CLI import loads neither the pool machinery nor numpy.random.
     An exact run, which draws no random number, leaves numpy.random
     unloaded, and the forked fan-outs of couple and blur-decay at
-    --jobs 2 load no pool machinery.  None of these runs has a time
-    integrator, so none loads the array module of its batch rows."""
+    --jobs 2 load no pool machinery.  Only the kinds with a time
+    integrator load the array module of its batch rows.  No run maps
+    OpenSSL: main blocks _hashlib, so the hmac import of numpy.random
+    falls back to built-in digests, which still give the known values."""
     code = ("import sys\n"
             "from ffp_lab.cli import main\n"
             "pool = ('concurrent.futures', 'multiprocessing')\n"
@@ -719,11 +721,28 @@ def test_modules_load_only_where_a_run_uses_them(tmp_path):
             "          if m in sys.modules]\n"
             "assert not loaded, f'{loaded} imported by ffp_lab.cli'\n"
             "assert main(sys.argv[1:]) == 0\n"
-            "exact = ('numpy.random',) if sys.argv[1] == 'exact' else ()\n"
-            "loaded = [m for m in pool + exact + ('array',) if m in sys.modules]\n"
-            "assert not loaded, f'{loaded} loaded by {sys.argv[1]}'\n")
+            "kind = sys.argv[1]\n"
+            "exact = ('numpy.random',) if kind == 'exact' else ()\n"
+            "rows = () if kind in ('simulate', 'stationary', 'mu-scan') "
+            "else ('array',)\n"
+            "loaded = [m for m in pool + exact + rows if m in sys.modules]\n"
+            "assert not loaded, f'{loaded} loaded by {kind}'\n"
+            "assert sys.modules.get('_hashlib') is None, '_hashlib loaded'\n"
+            "try:\n"
+            "    maps = open('/proc/self/maps').read()\n"
+            "except OSError:\n"
+            "    maps = ''\n"
+            "assert 'libcrypto' not in maps, 'libcrypto mapped'\n"
+            "import hashlib, hmac\n"
+            "assert hashlib.sha256(b'abc').hexdigest() == (\n"
+            "    'ba7816bf8f01cfea414140de5dae2223'\n"
+            "    'b00361a396177a9cb410ff61f20015ad')\n"
+            "assert hmac.new(b'key', b'msg', 'sha256').hexdigest() == (\n"
+            "    '2d93cbc1be167bcb1637a4a23cbff01a'\n"
+            "    '7878f0c50ee833954ea5221bb1b8c628')\n")
     src = Path(__file__).resolve().parent.parent / "src"
-    for manifest, jobs in ((EXACT, 1), (COUPLE, 2), (BLUR, 2)):
+    for manifest, jobs in ((EXACT, 1), (SIM, 1), (STAT, 1), (MU_SCAN, 1),
+                           (CCSB, 1), (COUPLE, 2), (BLUR, 2)):
         kind = manifest["kind"]
         done = subprocess.run(
             [sys.executable, "-c", code, kind,
